@@ -16,9 +16,11 @@ clients can back off instead of timing out.  Three mechanisms compose:
   stops), a cooldown later it half-opens and admits one probe; a probe
   success closes it, a probe failure re-opens it.
 
-Every rejection and every breaker transition is recorded in the
-:class:`~repro.events.EventLog` and (when a tracer is attached) as a
-zero-duration observability mark, so shed load is as visible as served
+Every admission and rejection is journaled (``admit`` / ``reject``
+records, whose :class:`~repro.events.EventLog` view is
+``request_admitted`` / ``admission_rejected``), every breaker transition
+is recorded as an event, and (when a tracer is attached) both are
+zero-duration observability marks, so shed load is as visible as served
 load.
 """
 
@@ -29,13 +31,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
-from repro.events import (
-    ADMISSION_LIMITS_CHANGED,
-    ADMISSION_REJECTED,
-    BREAKER_TRANSITION,
-    REQUEST_ADMITTED,
-    EventLog,
-)
+from repro.cluster.journal import Journal
+from repro.events import ADMISSION_LIMITS_CHANGED, BREAKER_TRANSITION, EventLog
 
 
 class AdmissionError(RuntimeError):
@@ -133,22 +130,20 @@ class AdmissionController:
         self._accepting = {c.name: True for c in classes}
         self.admitted = 0
         self.rejected: dict[str, int] = {}
-        # Write-ahead journal hook: the control plane points this at its
-        # Journal so accept/shed flips replay after a crash (the
-        # rate/burst knobs only shape future admissions, which are
-        # journaled individually — the accept flag is the one piece of
-        # *state* here).
-        self.journal = None
+        # Admits, rejects and accept/shed flips are journaled (the
+        # accept flag is the one piece of *state* here).  The control
+        # plane points this at its own Journal.
+        self.journal = Journal(event_log=self.events)
 
     def _reject(self, error_cls, message: str, request_id: int,
-                class_name: str) -> AdmissionError:
+                class_name: str, now_s: float) -> AdmissionError:
         error = error_cls(message, request_id=request_id,
                           priority_class=class_name)
         self.rejected[error_cls.__name__] = \
             self.rejected.get(error_cls.__name__, 0) + 1
-        self.events.record(ADMISSION_REJECTED, request_id=request_id,
-                           priority_class=class_name,
-                           error=error_cls.__name__, detail=message)
+        self.journal.append("reject", now_s, request_id=request_id,
+                            priority_class=class_name,
+                            error=error_cls.__name__, detail=message)
         if self.tracer is not None:
             self.tracer.mark(f"reject:{error_cls.__name__}",
                              request_id=request_id,
@@ -160,8 +155,8 @@ class AdmissionController:
         """Admit ``item`` into its class queue or raise a typed rejection.
 
         ``item`` is opaque to the controller (the control plane enqueues
-        its wrapped requests); ``request_id`` is only used for the event
-        record and the error payload.
+        its wrapped requests); ``request_id`` is only used for the
+        journal record and the error payload.
         """
         cls = self.classes.get(class_name)
         if cls is None:
@@ -172,24 +167,24 @@ class AdmissionController:
                 ClassShed,
                 f"class {class_name!r} is shed (brownout) at "
                 f"t={now_s:.4f}s",
-                request_id, class_name)
+                request_id, class_name, now_s)
         if not self._buckets[class_name].try_take(now_s):
             raise self._reject(
                 RateLimited,
                 f"class {class_name!r} over its {cls.rate:g}/s rate "
                 f"(burst {cls.burst}) at t={now_s:.4f}s",
-                request_id, class_name)
+                request_id, class_name, now_s)
         queue = self._queues[class_name]
         if len(queue) >= cls.queue_limit:
             raise self._reject(
                 QueueFull,
                 f"class {class_name!r} queue at its bound "
                 f"{cls.queue_limit} at t={now_s:.4f}s",
-                request_id, class_name)
+                request_id, class_name, now_s)
         queue.append(item)
         self.admitted += 1
-        self.events.record(REQUEST_ADMITTED, request_id=request_id,
-                           priority_class=class_name, t_s=now_s)
+        self.journal.append("admit", now_s, request_id=request_id,
+                            priority_class=class_name)
 
     def backlog(self) -> int:
         return sum(len(q) for q in self._queues.values())
@@ -287,7 +282,7 @@ class AdmissionController:
         if accept is not None:
             changed = self._accepting[class_name] != accept
             self._accepting[class_name] = accept
-            if changed and self.journal is not None:
+            if changed:
                 self.journal.append("limits", now_s,
                                     priority_class=class_name,
                                     accept=accept)

@@ -105,7 +105,8 @@ def audit_run(journal: Journal, *,
 
     seen_complete: dict[int, int] = {}
     for record in journal.of_kind("group_complete"):
-        for rid, _, _, _ in record["entries"]:
+        for entry in record["entries"]:
+            rid = entry["request_id"]
             seen_complete[rid] = seen_complete.get(rid, 0) + 1
     for rid, count in sorted(seen_complete.items()):
         if count > 1:
@@ -167,17 +168,17 @@ def audit_run(journal: Journal, *,
 
     # --- bit-identity vs the fault-free oracle ----------------------------
     if reference is not None:
-        for rid, crc, n_tokens, capped in state.completed:
+        for rid, crc, stream_len, capped in state.completed:
             if rid not in reference:
                 violations.append(f"request {rid} completed but the "
                                   f"oracle has no stream for it")
                 continue
             ref_tokens = reference[rid]
-            expect = token_crc(ref_tokens[:n_tokens]) if capped \
+            expect = token_crc(ref_tokens[:stream_len]) if capped \
                 else token_crc(ref_tokens)
-            if not capped and n_tokens != len(ref_tokens):
+            if not capped and stream_len != len(ref_tokens):
                 violations.append(
-                    f"request {rid} completed {n_tokens} tokens; the "
+                    f"request {rid} completed {stream_len} tokens; the "
                     f"oracle produced {len(ref_tokens)}")
             elif crc != expect:
                 violations.append(

@@ -168,7 +168,7 @@ class Autoscaler:
         self._wg_streak = 0
         self._last_prefill = 0
         self._last_decode = 0
-        self._event_cursor = 0
+        self._event_cursor = 0   # seq of the next event to read
         self._completions: list[tuple[float, str, float]] = []
         self._brownout = _BrownoutState()
 
@@ -222,13 +222,16 @@ class Autoscaler:
         """p99 TTFT of recent completions against the policy's SLO."""
         policy = self.policy
         events = plane.events.events
-        for event in events[self._event_cursor:]:
+        # Keyed on ``Event.seq``, not list position: a bounded log stays
+        # at ``max_events`` entries once full, but seq keeps counting.
+        skip = self._event_cursor - (events[0].seq if events else 0)
+        for event in events[max(skip, 0):]:
+            self._event_cursor = event.seq + 1
             if event.kind == "request_completed" and \
                     event.get("ttft_s") is not None:
                 self._completions.append((event.get("t_s", t),
                                           event.get("priority_class", ""),
                                           event["ttft_s"]))
-        self._event_cursor = len(events)
         if policy.ttft_slo_s is None:
             return False
         cutoff = t - policy.slo_window_s

@@ -59,19 +59,7 @@ from repro.cluster.journal import (
     token_crc,
 )
 from repro.cluster.replica import GroupRun, Replica, ReplicaHealth
-from repro.events import (
-    CONTROL_PLANE_RECOVERED,
-    FAILOVER,
-    FAULT_DETECTED,
-    HEDGE,
-    REPLICA_ADDED,
-    REPLICA_REJOINED,
-    REPLICA_REMOVED,
-    REPLICA_RESTARTED,
-    REQUEST_COMPLETED,
-    REQUEST_FAILED,
-    EventLog,
-)
+from repro.events import FAILOVER, FAULT_DETECTED, EventLog
 from repro.mesh.faults import FaultPlan, MeshFault, ReplicaCrashed
 from repro.observability.spans import Tracer
 from repro.serving.engine import Completion, Request
@@ -291,9 +279,16 @@ class ClusterControlPlane:
         # The write-ahead journal records every control-plane transition
         # on the virtual clock; ``serve()`` snapshots genesis state and
         # the chaos harness asserts replay(genesis + journal) ==
-        # control_state() after every run.
-        self.journal = journal if journal is not None \
-            else Journal(event_log=self.events)
+        # control_state() after every run.  It is also the one emitter
+        # of the transitions' events, so it must write into this log.
+        journal = journal if journal is not None else Journal()
+        if journal.events is None:
+            journal.events = self.events
+        elif journal.events is not self.events:
+            raise FleetConfigError(
+                "the journal is bound to a different event log than the "
+                "control plane's; its projected events would be lost")
+        self.journal = journal
         # The tracer runs on the control plane's virtual clock: chaos
         # runs under a fixed seed produce bit-identical span streams.
         self.tracer = tracer if tracer is not None else Tracer(
@@ -483,10 +478,10 @@ class ClusterControlPlane:
         self._target_profile = replayed.target_profile
         self.output_caps.replace_silently(dict(replayed.output_caps))
         self.recoveries += 1
-        self._journal("control_recovered", t_s=t)
-        self.events.record(CONTROL_PLANE_RECOVERED, t_s=t,
-                           journal_records=len(self.journal),
-                           pending_drains=len(self._drains))
+        # ``journal_records`` counts the journal with this record in it.
+        self._journal("control_recovered", t_s=t,
+                      journal_records=len(self.journal) + 1,
+                      pending_drains=len(self._drains))
         self.tracer.mark("control-plane-recovered",
                          records=len(self.journal))
 
@@ -515,8 +510,6 @@ class ClusterControlPlane:
             spec = self._restarts.pop(name)
             self._journal("replica_crash", t_s=now_s, replica=name,
                           mode=spec.mode, group=None)
-            self.events.record(REPLICA_RESTARTED, replica=name,
-                               mode=spec.mode, t_s=now_s, group=None)
             self._restart_replica(replica, now_s, spec.mode)
 
     def _maybe_crash_running(self, run: GroupRun, t: float,
@@ -538,8 +531,6 @@ class ClusterControlPlane:
         self.restarts += 1
         self._journal("replica_rejoin", t_s=t, replica=replica.name,
                       mode=mode, ready_s=ready)
-        self.events.record(REPLICA_REJOINED, replica=replica.name,
-                           mode=mode, t_s=t, ready_s=ready)
         self.tracer.mark(f"restart:{replica.name}", mode=mode)
 
     def _phase_candidates(self, phase: str) -> list[Replica]:
@@ -631,10 +622,7 @@ class ClusterControlPlane:
             event_log=self.events, tracer=self.tracer)
         self.replica_added_s[name] = now_s
         self._journal("replica_add", t_s=now_s, replica=name,
-                      shape=tuple(shape), pool=pool)
-        self.events.record(REPLICA_ADDED, replica=name,
-                           shape=tuple(shape), t_s=now_s,
-                           spinup_s=spinup_s)
+                      shape=tuple(shape), pool=pool, spinup_s=spinup_s)
         self.tracer.mark(f"scale-out:{name}", shape=tuple(shape))
         return replica
 
@@ -678,7 +666,6 @@ class ClusterControlPlane:
             self.retiring.discard(name)
             self.replica_removed_s[name] = now_s
             self._journal("replica_remove", t_s=now_s, replica=name)
-            self.events.record(REPLICA_REMOVED, replica=name, t_s=now_s)
             self.tracer.mark(f"scale-in:{name}")
             removed.append(name)
         return removed
@@ -745,20 +732,18 @@ class ClusterControlPlane:
             self._dispatch_ready(by_id, up_to_s=sub.arrival_s)
             rid = sub.request.request_id
             try:
+                # The controller journals the admit / reject itself.
                 self.admission.submit(sub, rid, sub.arrival_s,
                                       class_name=sub.priority_class)
                 self._ledger_admitted.add(rid)
-                self._journal("admit", t_s=sub.arrival_s, request_id=rid)
             except AdmissionError as exc:
-                reason = type(exc).__name__
-                self._ledger_rejected[rid] = reason
-                self._journal("reject", t_s=sub.arrival_s,
-                              request_id=rid, reason=reason)
+                error = type(exc).__name__
+                self._ledger_rejected[rid] = error
                 by_id[rid] = ClusterOutcome(
                     rid, ClusterRequestStatus.REJECTED,
                     sub.priority_class, arrival_s=sub.arrival_s,
                     finish_s=sub.arrival_s,
-                    rejection=reason)
+                    rejection=error)
         self._dispatch_ready(by_id, up_to_s=None, flush=True)
         self._cooldown()
         return [by_id[sub.request.request_id] for sub in submissions]
@@ -1066,8 +1051,6 @@ class ClusterControlPlane:
             # rejoin after the policy downtime.
             self._journal("replica_crash", t_s=t, replica=replica.name,
                           mode=exc.mode, group=exc.group)
-            self.events.record(REPLICA_RESTARTED, replica=replica.name,
-                               mode=exc.mode, t_s=t, group=exc.group)
             self._restart_replica(replica, t, exc.mode)
         else:
             replica.heartbeat(t)  # replan around dead chips, or go DEAD
@@ -1138,8 +1121,6 @@ class ClusterControlPlane:
         self.hedges += 1
         self._journal("hedge", t_s=t, group=gid,
                       source=run.replica.name, target=backup.name)
-        self.events.record(HEDGE, group=gid, source=run.replica.name,
-                           target=backup.name, t_s=t)
         self.tracer.mark(f"hedge:{run.replica.name}->{backup.name}",
                          group=gid)
         hedge_run = GroupRun(backup, run.wrapped)
@@ -1206,8 +1187,6 @@ class ClusterControlPlane:
         self.hedges += 1
         self._journal("hedge", t_s=t, group=gid,
                       source=run.replica.name, target=backup.name)
-        self.events.record(HEDGE, group=gid, source=run.replica.name,
-                           target=backup.name, t_s=t)
         self.tracer.mark(f"hedge:{run.replica.name}->{backup.name}",
                          group=gid)
         hedge_run = GroupRun(backup, run.wrapped)
@@ -1281,9 +1260,8 @@ class ClusterControlPlane:
         for sub, completion, was_capped in zip(subs, completions, capped):
             rid = sub.request.request_id
             crc = token_crc(completion.tokens)
-            n_tokens = int(len(completion.tokens))
-            entries.append((rid, crc, n_tokens, was_capped))
-            self._ledger_completed[rid] = (crc, n_tokens, was_capped)
+            stream_len = int(len(completion.tokens))
+            self._ledger_completed[rid] = (crc, stream_len, was_capped)
             met = sub.deadline_s is None or finish_s <= sub.deadline_s
             status = (ClusterRequestStatus.COMPLETED if met
                       else ClusterRequestStatus.DEADLINE_MISSED)
@@ -1293,17 +1271,14 @@ class ClusterControlPlane:
                 finish_s=finish_s, hedged=hedged, failovers=failovers,
                 first_token_s=first_token_s, output_capped=was_capped)
             by_id[rid] = outcome
-            self.events.record(REQUEST_COMPLETED, request_id=rid,
-                               t_s=finish_s, replica=replica,
-                               met_deadline=met, hedged=hedged,
-                               failovers=failovers,
-                               priority_class=sub.priority_class,
-                               ttft_s=outcome.ttft_s,
-                               tpot_s=outcome.tpot_s,
-                               n_tokens=completion.n_generated,
-                               output_capped=was_capped)
+            entries.append(dict(
+                request_id=rid, token_crc=crc, stream_len=stream_len,
+                output_capped=was_capped, met_deadline=met,
+                priority_class=sub.priority_class, ttft_s=outcome.ttft_s,
+                tpot_s=outcome.tpot_s, n_tokens=completion.n_generated))
         self._journal("group_complete", t_s=finish_s, group=gid,
-                      replica=replica, entries=entries)
+                      replica=replica, hedged=hedged, failovers=failovers,
+                      entries=entries)
 
     def _fail_group(self, subs, by_id, *, gid: int, error: str,
                     failovers: int,
@@ -1311,7 +1286,7 @@ class ClusterControlPlane:
         finish = self.now_s if finish_s is None else finish_s
         rids = [sub.request.request_id for sub in subs]
         self._journal("group_fail", t_s=finish, group=gid,
-                      requests=rids, reason=error)
+                      requests=rids, error=error, failovers=failovers)
         for sub in subs:
             rid = sub.request.request_id
             self._ledger_failed[rid] = error
@@ -1319,5 +1294,3 @@ class ClusterControlPlane:
                 rid, ClusterRequestStatus.FAILED, sub.priority_class,
                 arrival_s=sub.arrival_s, finish_s=finish,
                 failovers=failovers, rejection=error)
-            self.events.record(REQUEST_FAILED, request_id=rid,
-                               retries=failovers, error=error)

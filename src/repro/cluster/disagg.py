@@ -19,9 +19,9 @@ architecture on the simulated substrate:
   prefill in the prefill pool, then the finished KV caches move to a
   decode replica over the existing live-migration path
   (:meth:`~repro.cluster.replica.GroupRun.migrate_to`), priced by the
-  Appendix A.1 link model and recorded as a typed
-  :data:`~repro.events.KV_HANDOFF` event.  The transfer *overlaps* the
-  decode pool's ongoing steps: decode starts at
+  Appendix A.1 link model and journaled as a ``handoff_commit`` record
+  (event view :data:`~repro.events.KV_HANDOFF`).  The transfer
+  *overlaps* the decode pool's ongoing steps: decode starts at
   ``max(prefill_end + transfer, target_busy)``.
 * :class:`DisaggAutoscaler` — pools scale independently (scale-out
   picks the pool the token mix says is the bottleneck) and the brownout
@@ -37,8 +37,9 @@ Invariants, same as the rest of :mod:`repro.cluster`:
   composition-invariant, so disaggregated completions are bit-identical
   to a colocated fleet's (the disagg benchmark and chaos scenario
   assert it).
-* **Typed events** — every handoff, abort, collapse and restore is a
-  typed :class:`~repro.events.EventLog` record; failures surface as
+* **Typed records** — every handoff step, collapse and restore is a
+  journal record, which the journal projects into the
+  :class:`~repro.events.EventLog`; failures surface as
   :class:`HandoffAborted` (a :class:`~repro.mesh.faults.MeshFault`), so
   the control plane's failover machinery — re-prefill in the prefill
   pool — covers mid-handoff chip deaths with zero dropped requests.
@@ -68,18 +69,7 @@ from repro.cluster.control_plane import (
 )
 from repro.cluster.replica import GroupRun, Replica
 from repro.collectives.cost import all_gather_time
-from repro.events import (
-    AUTOSCALE_DECISION,
-    KV_HANDOFF,
-    KV_HANDOFF_ABORTED,
-    KV_HANDOFF_DEDUPED,
-    KV_HANDOFF_PREPARED,
-    KV_HANDOFF_RETRIED,
-    POOL_QUARANTINED,
-    POOL_REJOINED,
-    POOLS_COLLAPSED,
-    POOLS_RESTORED,
-)
+from repro.events import AUTOSCALE_DECISION
 from repro.mesh.faults import MeshFault
 from repro.serving.backoff import jittered_backoff_s
 
@@ -334,10 +324,7 @@ class DisaggControlPlane(ClusterControlPlane):
                     and r.name not in self.quarantined)
                 self.quarantined.update(members)
                 self._journal("quarantine", t_s=now_s, pool=part.pool,
-                              replicas=members)
-                self.events.record(POOL_QUARANTINED, pool=part.pool,
-                                   replicas=members, t_s=now_s,
-                                   until_s=part.until_s)
+                              replicas=members, until_s=part.until_s)
                 self.tracer.mark(f"pool-quarantined:{part.pool}",
                                  replicas=members)
             elif not active and self._partition_active[i] and \
@@ -348,8 +335,6 @@ class DisaggControlPlane(ClusterControlPlane):
                 self.quarantined.difference_update(held)
                 self._journal("pool_rejoin", t_s=now_s, pool=part.pool,
                               replicas=held)
-                self.events.record(POOL_REJOINED, pool=part.pool,
-                                   replicas=held, t_s=now_s)
                 self.tracer.mark(f"pool-rejoined:{part.pool}",
                                  replicas=held)
 
@@ -503,8 +488,6 @@ class DisaggControlPlane(ClusterControlPlane):
         n_bytes = run.kv_cache_bytes()
         self._journal("handoff_prepare", t_s=t, group=gid,
                       source=source.name, bytes=n_bytes)
-        self.events.record(KV_HANDOFF_PREPARED, group=gid,
-                           source=source.name, bytes=n_bytes, t_s=t)
         budget = max(getattr(policy, "handoff_retries", 0), 0)
         attempts = budget + 1
         target: Replica | None = None
@@ -551,9 +534,8 @@ class DisaggControlPlane(ClusterControlPlane):
             if failure is None:
                 if gid in self._handoff_delivered:
                     self.handoff_dups_dropped += 1
-                    self._journal("handoff_dup", t_s=t, group=gid)
-                    self.events.record(KV_HANDOFF_DEDUPED, group=gid,
-                                       target=target.name, t_s=t)
+                    self._journal("handoff_dup", t_s=t, group=gid,
+                                  target=target.name)
                     self.tracer.mark(f"handoff-dedup:{target.name}",
                                      group=gid)
                 # Prefix pages the target's store already holds stay
@@ -572,15 +554,11 @@ class DisaggControlPlane(ClusterControlPlane):
                 self.kv_handoffs += 1
                 self.kv_handoff_bytes += uncached
                 self.kv_handoff_bytes_saved += saved
-                self._journal("handoff_commit", t_s=t, group=gid,
-                              source=source.name, target=target.name,
-                              attempt=attempt)
-                self.events.record(
-                    KV_HANDOFF, group=gid, source=source.name,
-                    target=target.name, bytes=uncached,
-                    bytes_saved=saved,
-                    transfer_s=transfer_s, t_s=t,
-                    decode_start_s=decode_start, attempts=attempt,
+                self._journal(
+                    "handoff_commit", t_s=t, group=gid,
+                    source=source.name, target=target.name,
+                    attempt=attempt, bytes=uncached, bytes_saved=saved,
+                    transfer_s=transfer_s, decode_start_s=decode_start,
                     overlapped_s=max(
                         target.busy_until_s - (t + transfer_s), 0.0))
                 self.tracer.mark(
@@ -593,10 +571,8 @@ class DisaggControlPlane(ClusterControlPlane):
             if attempt == attempts:
                 self.handoff_aborts += 1
                 self._journal("handoff_abort", t_s=t, group=gid,
-                              reason=failure, budget=budget)
-                self.events.record(KV_HANDOFF_ABORTED, group=gid,
-                                   source=source.name, reason=failure,
-                                   retries=budget, t_s=t)
+                              source=source.name, reason=failure,
+                              budget=budget)
                 source.busy_until_s = t
                 raise HandoffAborted(
                     f"KV handoff for group {gid} gave up after "
@@ -609,11 +585,8 @@ class DisaggControlPlane(ClusterControlPlane):
                 seed=getattr(policy, "handoff_backoff_seed", 0),
                 key=gid)
             self._journal("handoff_retry", t_s=t, group=gid,
-                          attempt=attempt, reason=failure,
-                          backoff_s=backoff)
-            self.events.record(KV_HANDOFF_RETRIED, group=gid,
-                               source=source.name, attempt=attempt,
-                               reason=failure, backoff_s=backoff, t_s=t)
+                          source=source.name, attempt=attempt,
+                          reason=failure, backoff_s=backoff)
             self.tracer.mark(f"handoff-retry:{source.name}", group=gid,
                              attempt=attempt, reason=failure)
             t += backoff
@@ -639,7 +612,6 @@ class DisaggControlPlane(ClusterControlPlane):
             return False
         self.pools_collapsed = True
         self._journal("pools", t_s=now_s, collapsed=True)
-        self.events.record(POOLS_COLLAPSED, t_s=now_s)
         self.tracer.mark("pools-collapsed")
         return True
 
@@ -650,7 +622,6 @@ class DisaggControlPlane(ClusterControlPlane):
             return False
         self.pools_collapsed = False
         self._journal("pools", t_s=now_s, collapsed=False)
-        self.events.record(POOLS_RESTORED, t_s=now_s)
         self.tracer.mark("pools-restored")
         return True
 

@@ -14,6 +14,14 @@ recovers by replay instead of losing the fleet
 reconstruction against its live state and rebuilds its dispatch
 bookkeeping from the replayed snapshot).
 
+The journal is also the only emitter of the
+:class:`~repro.events.EventLog` entries for journaled transitions: a
+journal bound to an event log writes each record's *projection*
+(:data:`EVENT_PROJECTIONS`, e.g. ``handoff_commit`` ->
+``kv_handoff``, ``group_complete`` -> one ``request_completed`` per
+request) into it as the record is appended, so the event view cannot
+drift from the records replay and the auditor trust.
+
 Unlike the :class:`~repro.events.EventLog` ring buffer, whose drops are
 silently counted, a bounded journal is **loud**: the first dropped
 record emits a typed :data:`~repro.events.JOURNAL_TRUNCATED` event,
@@ -22,9 +30,10 @@ retained suffix no longer covers the snapshot's watermark, and the
 auditor (:mod:`repro.cluster.audit`) refuses to certify a truncated
 journal outright.
 
-Record kinds and their replay semantics are defined in one place
-(:data:`_FOLDERS`), so a new transition cannot be journaled without
-deciding how it replays.
+Record kinds, their replay semantics (:data:`_FOLDERS`) and their event
+view (:data:`EVENT_PROJECTIONS`) are defined in one place, so a new
+transition cannot be journaled without deciding how it replays and
+whether it shows up as an event.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from typing import Any
 
 import numpy as np
 
+from repro import events as ev
 from repro.events import JOURNAL_TRUNCATED, EventLog
 
 
@@ -93,9 +103,10 @@ class ControlPlaneState:
     group_counter: int = 0
     admitted: tuple[int, ...] = ()
     rejected: tuple[tuple[int, str], ...] = ()
-    #: ``(request_id, token_crc, n_tokens, output_capped)`` per finished
-    #: request — the auditor checks the crc against the fault-free
-    #: oracle (capped streams against the oracle's prefix).
+    #: ``(request_id, token_crc, stream_len, output_capped)`` per finished
+    #: request, ``stream_len`` counting prompt + generated tokens — the
+    #: auditor checks the crc against the fault-free oracle (capped
+    #: streams against the oracle's prefix).
     completed: tuple[tuple[int, int, int, bool], ...] = ()
     failed: tuple[tuple[int, str], ...] = ()
     failovers: int = 0
@@ -124,11 +135,13 @@ class ControlPlaneState:
 class Journal:
     """Append-only write-ahead journal with an optional bound.
 
-    ``max_records`` turns it into a ring: once full, appending drops the
-    *oldest* record — but loudly (see module doc).  ``set_genesis``
-    stores the snapshot replay starts from; the control plane takes it
-    at the top of ``serve()`` so construction-time bookkeeping is
-    captured once instead of journaled piecemeal.
+    With an ``event_log``, every appended record's projection
+    (:func:`project_record`) is recorded there too — the one emit for a
+    journaled transition.  ``max_records`` turns it into a ring: once
+    full, appending drops the *oldest* record — but loudly (see module
+    doc).  ``set_genesis`` stores the snapshot replay starts from; the
+    control plane takes it at the top of ``serve()`` so construction-time
+    bookkeeping is captured once instead of journaled piecemeal.
     """
 
     def __init__(self, max_records: int | None = None,
@@ -157,6 +170,9 @@ class Journal:
                                data=data)
         self._seq += 1
         self.records.append(record)
+        if self.events is not None:
+            for name, event_data in project_record(record):
+                self.events.record(name, **event_data)
         if self.max_records is not None and \
                 len(self.records) > self.max_records:
             del self.records[0]
@@ -254,7 +270,7 @@ def _fold_admit(w: _Working, r: JournalRecord) -> None:
 
 
 def _fold_reject(w: _Working, r: JournalRecord) -> None:
-    w.rejected[r["request_id"]] = r["reason"]
+    w.rejected[r["request_id"]] = r["error"]
 
 
 def _fold_group_start(w: _Working, r: JournalRecord) -> None:
@@ -262,21 +278,14 @@ def _fold_group_start(w: _Working, r: JournalRecord) -> None:
 
 
 def _fold_group_complete(w: _Working, r: JournalRecord) -> None:
-    for rid, crc, n, capped in r["entries"]:
-        w.completed[rid] = (crc, n, capped)
+    for e in r["entries"]:
+        w.completed[e["request_id"]] = (e["token_crc"], e["stream_len"],
+                                        e["output_capped"])
 
 
 def _fold_group_fail(w: _Working, r: JournalRecord) -> None:
     for rid in r["requests"]:
-        w.failed[rid] = r["reason"]
-
-
-def _fold_failover(w: _Working, r: JournalRecord) -> None:
-    w.failovers += 1
-
-
-def _fold_hedge(w: _Working, r: JournalRecord) -> None:
-    w.hedges += 1
+        w.failed[rid] = r["error"]
 
 
 def _fold_drain(w: _Working, r: JournalRecord) -> None:
@@ -302,14 +311,6 @@ def _fold_replica_remove(w: _Working, r: JournalRecord) -> None:
     w.replicas.discard(r["replica"])
     w.retiring.discard(r["replica"])
     w.removed.add(r["replica"])
-
-
-def _fold_replica_crash(w: _Working, r: JournalRecord) -> None:
-    pass  # the rejoin record carries the state change
-
-
-def _fold_replica_rejoin(w: _Working, r: JournalRecord) -> None:
-    w.restarts += 1
 
 
 def _fold_lever(w: _Working, r: JournalRecord) -> None:
@@ -346,26 +347,6 @@ def _fold_pool_rejoin(w: _Working, r: JournalRecord) -> None:
     w.quarantined.difference_update(r["replicas"])
 
 
-def _fold_handoff_prepare(w: _Working, r: JournalRecord) -> None:
-    pass  # audited (commit requires prepare), no state change
-
-
-def _fold_handoff_retry(w: _Working, r: JournalRecord) -> None:
-    w.handoff_retries += 1
-
-
-def _fold_handoff_commit(w: _Working, r: JournalRecord) -> None:
-    w.kv_handoffs += 1
-
-
-def _fold_handoff_dup(w: _Working, r: JournalRecord) -> None:
-    w.handoff_dup_drops += 1
-
-
-def _fold_handoff_abort(w: _Working, r: JournalRecord) -> None:
-    w.handoff_aborts += 1
-
-
 def _fold_page_lease(w: _Working, r: JournalRecord) -> None:
     w.kv_page_leases += 1
     w.kv_pages_leased += r["pages"]
@@ -376,8 +357,16 @@ def _fold_page_release(w: _Working, r: JournalRecord) -> None:
     w.kv_pages_released += r["pages"]
 
 
-def _fold_control_recovered(w: _Working, r: JournalRecord) -> None:
-    w.recoveries += 1
+def _no_state(w: _Working, r: JournalRecord) -> None:
+    """No state change: a ``replica_crash`` takes effect through its
+    ``replica_rejoin``, and a ``handoff_prepare`` is only audited."""
+
+
+def _count(counter: str):
+    """Fold rule for a kind whose only state is how often it happened."""
+    def fold(w: _Working, r: JournalRecord) -> None:
+        setattr(w, counter, getattr(w, counter) + 1)
+    return fold
 
 
 #: kind -> fold function.  Every journaled kind must appear here; replay
@@ -389,31 +378,75 @@ _FOLDERS = {
     "group_start": _fold_group_start,
     "group_complete": _fold_group_complete,
     "group_fail": _fold_group_fail,
-    "failover": _fold_failover,
-    "hedge": _fold_hedge,
+    "failover": _count("failovers"),
+    "hedge": _count("hedges"),
     "drain": _fold_drain,
     "scale_in": _fold_scale_in,
     "scale_in_abandoned": _fold_scale_in_abandoned,
     "replica_add": _fold_replica_add,
     "replica_remove": _fold_replica_remove,
-    "replica_crash": _fold_replica_crash,
-    "replica_rejoin": _fold_replica_rejoin,
+    "replica_crash": _no_state,
+    "replica_rejoin": _count("restarts"),
     "lever": _fold_lever,
     "limits": _fold_limits,
     "pools": _fold_pools,
     "quarantine": _fold_quarantine,
     "pool_rejoin": _fold_pool_rejoin,
-    "handoff_prepare": _fold_handoff_prepare,
-    "handoff_retry": _fold_handoff_retry,
-    "handoff_commit": _fold_handoff_commit,
-    "handoff_dup": _fold_handoff_dup,
-    "handoff_abort": _fold_handoff_abort,
+    "handoff_prepare": _no_state,
+    "handoff_retry": _count("handoff_retries"),
+    "handoff_commit": _count("kv_handoffs"),
+    "handoff_dup": _count("handoff_dup_drops"),
+    "handoff_abort": _count("handoff_aborts"),
     "page_lease": _fold_page_lease,
     "page_release": _fold_page_release,
-    "control_recovered": _fold_control_recovered,
+    "control_recovered": _count("recoveries"),
 }
 
 JOURNAL_KINDS = tuple(sorted(_FOLDERS))
+
+#: kind -> the :class:`~repro.events.EventLog` entry its records project
+#: to: the record's data plus ``t_s``.  ``group_complete`` fans out to
+#: one event per ``entries`` item, ``group_fail`` to one per
+#: ``requests`` id, and ``pools`` picks ``(restored, collapsed)`` by its
+#: ``collapsed`` flag.  Unlisted kinds have no event view.  The append
+#: is the only emitter of these names: nothing records them directly.
+EVENT_PROJECTIONS: dict[str, str | tuple[str, str]] = {
+    "admit": ev.REQUEST_ADMITTED,
+    "reject": ev.ADMISSION_REJECTED,
+    "group_complete": ev.REQUEST_COMPLETED,
+    "group_fail": ev.REQUEST_FAILED,
+    "hedge": ev.HEDGE,
+    "replica_add": ev.REPLICA_ADDED,
+    "replica_remove": ev.REPLICA_REMOVED,
+    "replica_crash": ev.REPLICA_RESTARTED,
+    "replica_rejoin": ev.REPLICA_REJOINED,
+    "control_recovered": ev.CONTROL_PLANE_RECOVERED,
+    "pools": (ev.POOLS_RESTORED, ev.POOLS_COLLAPSED),
+    "quarantine": ev.POOL_QUARANTINED,
+    "pool_rejoin": ev.POOL_REJOINED,
+    "handoff_prepare": ev.KV_HANDOFF_PREPARED,
+    "handoff_retry": ev.KV_HANDOFF_RETRIED,
+    "handoff_commit": ev.KV_HANDOFF,
+    "handoff_dup": ev.KV_HANDOFF_DEDUPED,
+    "handoff_abort": ev.KV_HANDOFF_ABORTED,
+}
+
+
+def project_record(record: JournalRecord) -> list[tuple[str, dict]]:
+    """The ``(event name, data)`` entries ``record`` shows up as."""
+    name = EVENT_PROJECTIONS.get(record.kind)
+    if name is None:
+        return []
+    data = dict(record.data, t_s=record.t_s)
+    if record.kind == "pools":
+        return [(name[data["collapsed"]], data)]
+    if record.kind == "group_complete":
+        entries = data.pop("entries")
+        return [(name, {**data, **entry}) for entry in entries]
+    if record.kind == "group_fail":
+        rids = data.pop("requests")
+        return [(name, dict(data, request_id=rid)) for rid in rids]
+    return [(name, data)]
 
 
 def replay_journal(journal: Journal,

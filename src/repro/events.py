@@ -9,6 +9,11 @@ that operators (and tests) can reconstruct exactly what the system did.
 list of :class:`Event` records, each a ``kind`` plus arbitrary
 structured data.
 
+The events of journaled cluster transitions (admissions, completions,
+hedges, replica and pool changes, the ``kv_handoff*`` family, ...) are
+*projections*: only :class:`repro.cluster.journal.Journal` records them,
+as it appends the matching record (``EVENT_PROJECTIONS`` there).
+
 The log is deliberately dependency-free (it sits below the mesh, serving
 and observability layers) so that fault injection in
 :mod:`repro.mesh.faults`, the request lifecycle in
@@ -68,12 +73,10 @@ POOLS_COLLAPSED = "pools_collapsed"
 POOLS_RESTORED = "pools_restored"
 
 #: Crash-recovery control plane (see :mod:`repro.cluster.journal` and
-#: :mod:`repro.cluster.audit`).  The transactional KV handoff brackets
-#: each transfer with prepare/retry/commit-or-abort events; replica
-#: process death surfaces as a restart/rejoin pair; a control-plane
-#: crash that recovered by journal replay is announced explicitly; and
-#: a bounded journal that dropped records says so *loudly* (the auditor
-#: refuses to certify a truncated journal).
+#: :mod:`repro.cluster.audit`).  All but ``JOURNAL_TRUNCATED`` — a
+#: bounded journal saying *loudly* that it dropped records — are views
+#: of journal records: handoff prepare/retry/commit/abort/dedup, replica
+#: restart/rejoin, control-plane recovery, pool quarantine/rejoin.
 JOURNAL_TRUNCATED = "journal_truncated"
 KV_HANDOFF_PREPARED = "kv_handoff_prepared"
 KV_HANDOFF_RETRIED = "kv_handoff_retried"

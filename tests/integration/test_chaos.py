@@ -24,6 +24,11 @@ from repro.cluster import (
     format_report,
     run_scenario,
 )
+from repro.cluster.journal import (
+    EVENT_PROJECTIONS,
+    JournalRecord,
+    project_record,
+)
 from repro.events import EventLog
 from repro.mesh.virtual_mesh import BACKENDS
 
@@ -41,7 +46,8 @@ def run(name, backend, seed=SEED, **kwargs):
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 class TestScenarioSuite:
     def test_invariants_hold(self, name, backend):
-        report = run(name, backend)
+        log = EventLog()
+        report = run(name, backend, event_log=log)
         # Universal bookkeeping: every submission has exactly one fate.
         assert report.admitted + sum(report.rejections.values()) \
             == report.submitted
@@ -50,6 +56,17 @@ class TestScenarioSuite:
         assert report.dropped_in_flight == 0
         assert report.bit_identical
         assert report.n_events > 0 and report.n_spans > 0
+        # One emit per transition: every projected event is exactly the
+        # journal's view of its records — a direct emit of one of these
+        # names (or a missing projection) breaks count, order or data.
+        projected = {
+            kind: [] for names in EVENT_PROJECTIONS.values()
+            for kind in ((names,) if isinstance(names, str) else names)}
+        for record in report.journal_dump:
+            for kind, data in project_record(JournalRecord(**record)):
+                projected[kind].append(data)
+        for kind, want in sorted(projected.items()):
+            assert [e.data for e in log.of_kind(kind)] == want, kind
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -202,6 +202,22 @@ class TestScaling:
         # The breach ages out of the trailing window.
         assert scaler._slo_breach(plane, 1.0) is False
 
+    @pytest.mark.parametrize("max_events", [None, 2])
+    def test_slo_breach_seen_through_a_bounded_log(self, max_events):
+        # A full bounded log stays at max_events entries while Event.seq
+        # keeps counting: the feed must see the breach either way.
+        scaler = Autoscaler(AutoscalerPolicy(ttft_slo_s=0.2,
+                                             brownout=False,
+                                             switch_plans=False))
+        plane = FakePlane()
+        plane.events = EventLog(max_events=max_events)
+        for i in range(3):
+            plane.events.record("replica_health", replica=f"r{i}")
+        assert scaler._slo_breach(plane, 0.05) is False
+        plane.events.record("request_completed", request_id=0, t_s=0.06,
+                            priority_class="interactive", ttft_s=9.0)
+        assert scaler._slo_breach(plane, 0.1) is True
+
 
 class TestPlanSteering:
     POLICY = AutoscalerPolicy(plan_after=2, brownout=False,

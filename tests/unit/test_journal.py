@@ -35,6 +35,7 @@ from repro.cluster.journal import (
     ControlPlaneState,
     Journal,
     JournalTruncated,
+    project_record,
     replay_journal,
     token_crc,
 )
@@ -44,6 +45,12 @@ from repro.serving.engine import Request
 
 WEIGHTS = init_weights(CHAOS_CONFIG, seed=0)
 SHAPE = (2, 2, 2)
+
+
+def entry(request_id, token_crc, stream_len, output_capped):
+    """One ``group_complete`` entry with just the fields replay reads."""
+    return dict(request_id=request_id, token_crc=token_crc,
+                stream_len=stream_len, output_capped=output_capped)
 
 
 def make_submissions(n, *, spacing_s=0.01, seed=0):
@@ -80,7 +87,7 @@ class TestJournalBasics:
     def test_of_kind_filters(self):
         j = Journal()
         j.append("admit", 0.0, request_id=0)
-        j.append("reject", 0.0, request_id=1, reason="QueueFull")
+        j.append("reject", 0.0, request_id=1, error="QueueFull")
         j.append("admit", 0.1, request_id=2)
         assert [r["request_id"] for r in j.of_kind("admit")] == [0, 2]
 
@@ -96,17 +103,51 @@ class TestJournalBasics:
             Journal(max_records=0)
 
 
+class TestEventView:
+    def test_append_projects_into_the_bound_log(self):
+        ev = EventLog()
+        j = Journal(event_log=ev)
+        j.append("group_start", 0.1, group=0, requests=[0, 1, 2])
+        j.append("group_complete", 0.2, group=0, replica="r0",
+                 hedged=False, failovers=1,
+                 entries=[entry(0, 7, 12, False), entry(1, 8, 12, True)])
+        j.append("group_fail", 0.3, group=1, requests=[2],
+                 error="NoHealthyReplica", failovers=0)
+        j.append("pools", 0.4, collapsed=True)
+        j.append("pools", 0.5, collapsed=False)
+        assert ev.kinds() == ["request_completed", "request_completed",
+                              "request_failed", "pools_collapsed",
+                              "pools_restored"]
+        done = ev.of_kind("request_completed")
+        assert [e["request_id"] for e in done] == [0, 1]
+        assert [e["output_capped"] for e in done] == [False, True]
+        assert all(e["t_s"] == 0.2 and e["replica"] == "r0"
+                   and e["failovers"] == 1 for e in done)
+        failed, = ev.of_kind("request_failed")
+        assert failed.data == dict(request_id=2, group=1, t_s=0.3,
+                                   error="NoHealthyReplica", failovers=0)
+
+    def test_projection_matches_what_append_records(self):
+        ev = EventLog()
+        j = Journal(event_log=ev)
+        j.append("handoff_commit", 0.1, group=3, source="r0",
+                 target="r1", attempt=2, bytes=64)
+        assert [(e.kind, e.data) for e in ev] == \
+            project_record(j.records[-1])
+        assert ev.of_kind("kv_handoff")[0]["attempt"] == 2
+
+
 class TestReplayFolds:
     def test_admit_reject_complete_fail(self):
         j = Journal()
         j.append("admit", 0.0, request_id=0)
         j.append("admit", 0.0, request_id=1)
-        j.append("reject", 0.0, request_id=2, reason="QueueFull")
+        j.append("reject", 0.0, request_id=2, error="QueueFull")
         j.append("group_start", 0.1, group=0, requests=[0, 1])
         j.append("group_complete", 0.2, group=0, replica="r0",
-                 entries=[(0, 123, 12, False)])
+                 entries=[entry(0, 123, 12, False)])
         j.append("group_fail", 0.2, group=0, requests=[1],
-                 reason="MeshFault")
+                 error="MeshFault")
         state = replay_journal(j)
         assert state.admitted == (0, 1)
         assert state.rejected == ((2, "QueueFull"),)
@@ -207,7 +248,7 @@ class TestAuditUnit:
         j.append("admit", 0.0, request_id=0)
         j.append("group_start", 0.0, group=0, requests=[0])
         j.append("group_complete", 0.1, group=0, replica="r0",
-                 entries=[(0, 99, 12, False)])
+                 entries=[entry(0, 99, 12, False)])
         report = audit_run(j)
         assert report.certified, report.violations
         assert "CERTIFIED" in format_audit(report)
@@ -226,7 +267,7 @@ class TestAuditUnit:
         j.append("admit", 0.0, request_id=0)
         for _ in range(2):
             j.append("group_complete", 0.1, group=0, replica="r0",
-                     entries=[(0, 99, 12, False)])
+                     entries=[entry(0, 99, 12, False)])
         report = audit_run(j)
         assert any("completed 2 times" in v for v in report.violations)
 
@@ -266,7 +307,7 @@ class TestAuditUnit:
         j.append("handoff_abort", 0.2, group=0, reason="ack-lost",
                  budget=1)
         j.append("group_fail", 0.2, group=0, requests=[0],
-                 reason="HandoffAborted")
+                 error="HandoffAborted")
         report = audit_run(j)
         assert report.certified, report.violations
 
@@ -275,7 +316,7 @@ class TestAuditUnit:
         j = Journal()
         j.append("admit", 0.0, request_id=0)
         j.append("group_complete", 0.1, group=0, replica="r0",
-                 entries=[(0, token_crc(tokens), 12, False)])
+                 entries=[entry(0, token_crc(tokens), 12, False)])
         good = audit_run(j, reference={0: tokens})
         assert good.certified, good.violations
         bad = audit_run(j, reference={0: tokens + 1})
@@ -287,7 +328,7 @@ class TestAuditUnit:
         j = Journal()
         j.append("admit", 0.0, request_id=0)
         j.append("group_complete", 0.1, group=0, replica="r0",
-                 entries=[(0, token_crc(tokens[:9]), 9, True)])
+                 entries=[entry(0, token_crc(tokens[:9]), 9, True)])
         report = audit_run(j, reference={0: tokens})
         assert report.certified, report.violations
 
@@ -295,7 +336,7 @@ class TestAuditUnit:
         j = Journal()
         j.append("admit", 0.0, request_id=0)
         j.append("group_complete", 0.1, group=0, replica="r0",
-                 entries=[(0, 99, 12, False)])
+                 entries=[entry(0, 99, 12, False)])
         lying = ControlPlaneState(journal_seq=j.next_seq,
                                   admitted=(0, 1))
         report = audit_run(j, final_state=lying)
@@ -336,6 +377,23 @@ class TestLiveJournal:
         report = audit_run(plane.journal)
         assert not report.certified
         assert any("truncated" in v for v in report.violations)
+
+    def test_unbound_journal_is_bound_to_the_plane_log(self):
+        # Without binding, a bounded journal's loud truncation event
+        # (and every projected event) would go nowhere.
+        plane = ClusterControlPlane(WEIGHTS, [SHAPE, SHAPE],
+                                    decode_batch=4,
+                                    journal=Journal(max_records=6))
+        plane.serve(make_submissions(12))
+        assert plane.journal.events is plane.events
+        assert plane.journal.truncated > 0
+        assert len(plane.events.of_kind("journal_truncated")) == 1
+        assert len(plane.events.of_kind("request_completed")) == 12
+
+    def test_journal_bound_to_another_log_is_rejected(self):
+        with pytest.raises(FleetConfigError, match="different event log"):
+            ClusterControlPlane(WEIGHTS, [SHAPE],
+                                journal=Journal(event_log=EventLog()))
 
     def test_crash_recovery_scenario(self):
         report = run_scenario("control-plane-crash-mid-drain", seed=0)

@@ -64,6 +64,7 @@ REQUIRED_HEADINGS: dict[str, tuple[str, ...]] = {
         "## Admission control (`repro.cluster.admission`)",
         "## Dispatch, failover, drain, hedging "
         "(`repro.cluster.control_plane`)",
+        "## Records: the journal and its event view",
         "## Disaggregated prefill/decode pools (`repro.cluster.disagg`)",
         "## Chaos harness (`repro.cluster.chaos`)",
     ),
