@@ -8,7 +8,10 @@ step that ``bench_step_capture.py`` times:
   window in one call amortizes per-step dispatch and unlocks the
   whole-window tape optimizer.  Compared against stepping the v1
   single-step replay program through the same window from the same KV
-  base, so the numpy work per position is identical.
+  base, so the numpy work per position is identical.  The tape-optimized
+  single-step program the serving path now runs is timed alongside
+  (``replay1_opt_s``, ``fused_vs_opt``) for the report only; the gate
+  stays on the v1 baseline.
 * **Prefill programs** — ``capture_prefill_chunk`` traces one chunk of
   ``chunked_prefill`` and replays later same-length chunks; eager and
   replay append the same positions from the same cache base.
@@ -49,7 +52,9 @@ def test_capture_v2(benchmark, save_result):
         "workload": "16-layer multiquery model, WG_XY + BATCH layout, "
                     f"batch {CAPTURE_BATCH}; fused decode window "
                     f"{CAPTURE_V2_WINDOW} vs the same window of v1 "
-                    "single-step replays, prefill chunk length "
+                    "single-step replays (and, report-only, of "
+                    "tape-optimized single-step replays), prefill chunk "
+                    "length "
                     f"{CAPTURE_V2_CHUNK} replayed vs eager from the "
                     "same KV base, and the StepCompiler hit rate on a "
                     "shrinking continuous batch; timed windows reset "

@@ -17,6 +17,8 @@ rely on.
 
 from __future__ import annotations
 
+import heapq
+
 
 class _Node:
     """One radix node: the page for its edge plus child edges."""
@@ -106,41 +108,46 @@ class RadixIndex:
         walk(self._root)
         return out
 
-    def _leaves(self) -> list[tuple[_Node, tuple, _Node]]:
-        """All ``(parent, edge, leaf)`` triples."""
-        out: list[tuple[_Node, tuple, _Node]] = []
-
-        def walk(node: _Node) -> None:
-            for edge, child in node.children.items():
-                if child.children:
-                    walk(child)
-                else:
-                    out.append((node, edge, child))
-
-        walk(self._root)
-        return out
-
     def evict(self, n_pages: int) -> list:
         """Drop up to ``n_pages`` unpinned leaf pages, LRU-first.
 
         Returns the evicted pages.  Stops early when every remaining
         leaf is pinned — a page with a live lease is never freed, no
         matter the memory pressure (the caller runs over capacity
-        instead).
+        instead).  One walk collects the unpinned leaves into a heap
+        ordered by ``(last_use, page_id)``; a parent whose last child
+        goes becomes a leaf and joins the heap, so the order is the one
+        a fresh scan before every single eviction would give.
         """
         evicted: list = []
-        while len(evicted) < n_pages:
-            candidates = [(parent, edge, leaf)
-                          for parent, edge, leaf in self._leaves()
-                          if leaf.page.refcount == 0]
-            if not candidates:
-                break
-            parent, edge, leaf = min(
-                candidates,
-                key=lambda t: (t[2].page.last_use, t[2].page.page_id))
+        if n_pages <= 0:
+            return evicted
+        # Heap entries: (last_use, page_id, id, node) — the id only
+        # keeps tuple comparison away from the nodes themselves.
+        up: dict[int, tuple[_Node, tuple]] = {}
+        heap: list = []
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            for edge, child in node.children.items():
+                up[id(child)] = (node, edge)
+                if child.children:
+                    stack.append(child)
+                elif child.page.refcount == 0:
+                    heap.append((child.page.last_use, child.page.page_id,
+                                 id(child), child))
+        heapq.heapify(heap)
+        while heap and len(evicted) < n_pages:
+            leaf = heapq.heappop(heap)[-1]
+            parent, edge = up[id(leaf)]
             del parent.children[edge]
             self.n_pages -= 1
             evicted.append(leaf.page)
+            if (parent is not self._root and not parent.children
+                    and parent.page.refcount == 0):
+                heapq.heappush(heap, (parent.page.last_use,
+                                      parent.page.page_id, id(parent),
+                                      parent))
         return evicted
 
     def clear(self) -> None:

@@ -37,6 +37,14 @@ from repro.mesh import ShardedTensor, VirtualMesh
 from repro.sharding.spec import ShardingError, ShardSpec, parse
 
 
+def layout_signature(cache: "ShardedKVCache") -> tuple:
+    """What a captured program pins about a KV cache: its sharding
+    spec, batch, KV heads, head dim, dtype and buffer kind.  ``max_len``
+    and the fill level are excluded — a program replays at any fill."""
+    batch, _, kv, d = cache.global_shape
+    return (str(cache.spec), batch, kv, d, cache.dtype, cache.is_stacked)
+
+
 class ShardedKVCache:
     """Per-device KV history buffers under a ``BMKD`` sharding spec."""
 
@@ -71,6 +79,10 @@ class ShardedKVCache:
             self.k = mesh.map_devices(lambda c: np.zeros(local, dtype=dtype))
             self.v = mesh.map_devices(lambda c: np.zeros(local, dtype=dtype))
         self.length = 0
+        # Spec, dtype, global shape and buffer kind are fixed for the
+        # cache's lifetime, so the layout a captured program pins is
+        # derived once here instead of on every replay lookup.
+        self.layout_sig = layout_signature(self)
 
     @property
     def is_stacked(self) -> bool:

@@ -54,21 +54,31 @@ serving hot path end-to-end:
   decode steps inside one capture, recording the greedy sampling between
   steps as tape instructions; the resulting program appends to the KV
   cache in-arena N times and amortizes per-step Python dispatch over the
-  fusion window.  Fused (and prefill) programs additionally run the
-  tape optimizer in :mod:`repro.mesh.replay_opt` — projection-einsum
-  fusion, RoPE table CSE, prebound collectives — all bit-exact by
-  construction and asserted differentially.  :meth:`StepCompiler.
-  decode_window` falls back to single-step execution at window
-  boundaries (cache nearly full) and whenever the mesh's fault state is
-  not quiescent for the whole window.
+  fusion window.  :meth:`StepCompiler.decode_window` falls back to
+  single-step execution at window boundaries (cache nearly full) and
+  whenever the mesh's fault state is not quiescent for the whole window.
+* **Tape optimizer** — on the stacked backend every program (single
+  decode steps, fused windows, prefill chunks) runs the optimizer in
+  :mod:`repro.mesh.replay_opt` — projection-einsum fusion, RoPE table
+  CSE, prebound collectives — and replays through a straight-line
+  compiled runner; all bit-exact by construction and asserted
+  differentially.  Loop-backend programs keep the plain tape.
 * **Shape-bucketed program cache** — :class:`StepCompiler` keeps an LRU
   ``OrderedDict`` of programs keyed by (kind, window, backend, mesh
   shape, plan, token shape/dtype, cache layouts, dead-chip set), so a
   continuous-batching workload whose batch shrinks as sequences finish
   hits warm programs (the compiler pads the token batch up to the cache
   capacity when ``batch_bucket`` rounds it there) instead of thrashing
-  re-capture.  Hits, misses, evictions and per-reason invalidations are
-  counted and surfaced through the observability metrics tables.
+  re-capture.  The key is cheap to build per step: each cache carries
+  its layout signature from construction (``ShardedKVCache.layout_sig``)
+  and dtypes are compared as ``np.dtype`` objects.  Hits, misses,
+  evictions and per-reason invalidations are counted and surfaced
+  through the observability metrics tables.
+* **Constant pool** — programs of one compiler capture their own copies
+  of the same step-invariant values (every batch size folds its own
+  weight gathers and concatenates its own projection weights); the
+  compiler keeps one array per distinct (shape, dtype, bytes) and points
+  every program at it, and reports referenced vs pooled bytes.
 
 Interplay with the rest of the stack:
 
@@ -94,7 +104,9 @@ Interplay with the rest of the stack:
 
 from __future__ import annotations
 
+import hashlib
 import os
+import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -155,18 +167,11 @@ class ProgramSignature:
     mesh_shape: tuple[int, int, int]
     plan: Any = None
     tokens_shape: tuple[int, ...] | None = None
-    tokens_dtype: str | None = None
+    tokens_dtype: np.dtype | None = None
     cache_sig: tuple = ()
     kind: str = "decode"
     window: int = 1
     dead_chips: tuple = ()
-
-
-def _cache_sig(cache) -> tuple:
-    """Layout signature of one KV cache (max_len/fill level excluded)."""
-    batch, _, kv, d = cache.global_shape
-    return (str(cache.spec), batch, kv, d, str(cache.dtype),
-            bool(cache.is_stacked))
 
 
 def _dead_chips(mesh) -> tuple:
@@ -175,6 +180,23 @@ def _dead_chips(mesh) -> tuple:
     if state is None:
         return ()
     return tuple(sorted(state.dead_chips))
+
+
+def _root(arr: np.ndarray) -> np.ndarray:
+    """The array that owns ``arr``'s memory."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def _leaf_arrays(value):
+    """The numeric arrays behind a constant: the array itself, or the
+    per-device shards of a loop-backend object array."""
+    if not isinstance(value, np.ndarray):
+        return []
+    if value.dtype.hasobject:
+        return [x for x in value.flat if isinstance(x, np.ndarray)]
+    return [value]
 
 
 def bucket_batch(n: int, bucket: int) -> int:
@@ -247,7 +269,8 @@ class CapturedProgram:
                  tokens_2d: bool = False, span_name: str = "captured_step",
                  collectives_captured: int = 0,
                  collectives_folded: int = 0,
-                 optimized: bool = False):
+                 optimized: bool = False,
+                 const_vids: tuple[int, ...] = ()):
         self.mesh = mesh
         self.signature = signature
         self.replays = 0
@@ -260,6 +283,7 @@ class CapturedProgram:
         self.collectives_captured = collectives_captured
         self.collectives_folded = collectives_folded
         self.optimized = optimized
+        self.const_vids = const_vids
         # Fast-path execution tuples: one attribute walk at build time
         # instead of per instruction per replay.
         self._ops = tuple((ins.fn, ins.inputs, ins.out, ins.buffer)
@@ -279,6 +303,37 @@ class CapturedProgram:
     @property
     def collectives_live(self) -> int:
         return self.collectives_captured - self.collectives_folded
+
+    def constants(self) -> list:
+        """The step-invariant values the live instructions read."""
+        return [self._template[vid] for vid in self.const_vids]
+
+    def pool_constants(self, pool) -> None:
+        """Point this program's constants at equal arrays in ``pool``.
+
+        ``pool`` maps ``(shape, dtype, digest of the bytes)`` to an
+        array; an equal constant (confirmed element-wise) is swapped for
+        the pooled array, whose twin is then freed, and a new one joins
+        the pool.  Replay only reads constants, and an array whose
+        memory some instruction writes through ``out=`` is never pooled,
+        so sharing cannot change a bit of any program's output.
+        """
+        written = {id(_root(buf)) for ins in self._instrs
+                   for buf in (ins.buffer, getattr(ins.fn, "out_buffer",
+                                                   None))
+                   if buf is not None}
+        for vid in self.const_vids:
+            const = self._template[vid]
+            if (not isinstance(const, np.ndarray) or const.dtype.hasobject
+                    or id(_root(const)) in written):
+                continue
+            digest = hashlib.blake2b(np.ascontiguousarray(const)).digest()
+            key = (const.shape, const.dtype, digest)
+            pooled = pool.get(key)
+            if pooled is None:
+                pool[key] = const
+            elif pooled is not const and np.array_equal(pooled, const):
+                self._template[vid] = pooled
 
     @property
     def window(self) -> int:
@@ -305,12 +360,12 @@ class CapturedProgram:
             return "plan"
         if sig.tokens_shape is not None and (
                 tokens.shape != sig.tokens_shape
-                or str(tokens.dtype) != sig.tokens_dtype):
+                or tokens.dtype != sig.tokens_dtype):
             return "tokens"
         if len(caches) != len(sig.cache_sig):
             return "caches"
         for cache, entry in zip(caches, sig.cache_sig):
-            if cache.mesh is not self.mesh or _cache_sig(cache) != entry:
+            if cache.mesh is not self.mesh or cache.layout_sig != entry:
                 return "caches"
         if _dead_chips(self.mesh) != sig.dead_chips:
             return "degraded"
@@ -557,6 +612,15 @@ class StepRecorder:
             kept = replay_opt.freeze_stable_views(kept, template,
                                                   set(out_vids))
 
+        # Only constants a live instruction reads stay in the template:
+        # the folded chain behind a constant (a weight gather's inputs,
+        # the per-projection weights a fused einsum concatenated) would
+        # otherwise be held for the program's lifetime.
+        read = {v for ins in kept for v in ins.inputs}
+        for vid in const - read:
+            template[vid] = None
+        const_vids = tuple(sorted(const & read))
+
         if signature is None:
             signature = ProgramSignature(backend=self.mesh.backend,
                                          mesh_shape=self.mesh.shape)
@@ -566,7 +630,7 @@ class StepRecorder:
             tokens_2d=tokens_2d, span_name=span_name,
             collectives_captured=self.collectives,
             collectives_folded=folded_collectives,
-            optimized=optimized)
+            optimized=optimized, const_vids=const_vids)
 
 
 @contextmanager
@@ -594,26 +658,32 @@ def _signature(model, tokens: np.ndarray, caches: Sequence, *,
     return ProgramSignature(
         backend=mesh.backend, mesh_shape=mesh.shape,
         plan=getattr(model, "plan", None),
-        tokens_shape=tokens.shape, tokens_dtype=str(tokens.dtype),
-        cache_sig=tuple(_cache_sig(c) for c in caches),
+        tokens_shape=tokens.shape, tokens_dtype=tokens.dtype,
+        cache_sig=tuple(c.layout_sig for c in caches),
         kind=kind, window=window, dead_chips=_dead_chips(mesh))
 
 
-def capture_decode_step(model, tokens: np.ndarray, caches: Sequence
+def capture_decode_step(model, tokens: np.ndarray, caches: Sequence, *,
+                        optimize: bool | None = None
                         ) -> tuple[np.ndarray, CapturedProgram | None]:
     """Run one eager decode step while recording it.
 
     Returns ``(logits, program)`` — the logits are the eager step's
     (the step really ran: caches advanced exactly as usual), and the
     program replays subsequent steps bit-identically, or is ``None``
-    when the step could not be captured.
+    when the step could not be captured.  Like every other capture, the
+    program runs the tape optimizer on the stacked backend;
+    ``optimize=False`` keeps the plain v1 tape (the baseline the
+    fused-window benchmark times against).
     """
     mesh = model.mesh
+    if optimize is None:
+        optimize = mesh.backend == "stacked"
     with capturing(mesh, caches) as recorder:
         logits = model.decode_step(tokens, caches)
     program = recorder.finalize(
         logits, signature=_signature(model, tokens, caches),
-        tokens_2d=True)
+        tokens_2d=True, optimize=optimize)
     return logits, program
 
 
@@ -727,6 +797,11 @@ class StepCompiler:
         self.invalidation_reasons: dict[str, int] = {}
         self._programs: OrderedDict[tuple, CapturedProgram] = OrderedDict()
         self._failed: set[tuple] = set()
+        # Constant pool shared by this compiler's programs: one array
+        # per distinct (shape, dtype, bytes), held only while some
+        # program references it.
+        self._const_pool: weakref.WeakValueDictionary = \
+            weakref.WeakValueDictionary()
 
     # -- cache bookkeeping -------------------------------------------------
 
@@ -747,7 +822,16 @@ class StepCompiler:
         return self.hits / total if total else 0.0
 
     def stats(self) -> dict:
-        """Counter snapshot for the observability metrics tables."""
+        """Counter snapshot for the observability metrics tables.
+
+        ``const_bytes`` totals the constants every cached program
+        references; ``const_unique_bytes`` counts each distinct array
+        once, so the gap is what the constant pool saves.
+        """
+        leaves = [leaf for program in self._programs.values()
+                  for const in program.constants()
+                  for leaf in _leaf_arrays(const)]
+        unique = {id(leaf): leaf.nbytes for leaf in leaves}
         return {
             "programs": self.n_programs,
             "eager_steps": self.eager_steps,
@@ -759,6 +843,10 @@ class StepCompiler:
             "evictions": self.evictions,
             "invalidations": self.invalidations,
             "invalidation_reasons": dict(self.invalidation_reasons),
+            "optimized_programs": sum(
+                p.optimized for p in self._programs.values()),
+            "const_bytes": sum(leaf.nbytes for leaf in leaves),
+            "const_unique_bytes": sum(unique.values()),
         }
 
     def invalidate(self) -> None:
@@ -771,9 +859,8 @@ class StepCompiler:
              kind: str, window: int) -> tuple:
         mesh = model.mesh
         return (kind, window, mesh.backend, mesh.shape,
-                getattr(model, "plan", None), tokens.shape,
-                str(tokens.dtype),
-                tuple(_cache_sig(c) for c in caches), _dead_chips(mesh))
+                getattr(model, "plan", None), tokens.shape, tokens.dtype,
+                tuple(c.layout_sig for c in caches), _dead_chips(mesh))
 
     def _drop(self, key: tuple, reason: str) -> None:
         del self._programs[key]
@@ -797,6 +884,10 @@ class StepCompiler:
         while len(self._programs) >= self.max_programs:
             self._programs.popitem(last=False)
             self.evictions += 1
+        # Programs of one deployment capture their own copies of the
+        # same step-invariant values (each batch size folds its own
+        # weight gathers and concatenates its own projection weights).
+        program.pool_constants(self._const_pool)
         self._programs[key] = program
 
     # -- decode ------------------------------------------------------------

@@ -32,12 +32,13 @@ fatter calls while provably preserving every output bit:
 
 All passes are *conservative pattern matchers*: anything unrecognized
 (loop-backend instructions, sharded-weight layouts, multi-token
-attention) is left untouched.  The optimizer runs only for programs
-finalized with ``optimize=True`` — fused decode windows and prefill
-chunks — so the single-step decode program stays byte-for-byte the v1
-tape and the published fused speedups are measured against it honestly.
+attention) is left untouched.  Every capture on the stacked backend —
+single decode steps, fused decode windows and prefill chunks — is
+finalized with ``optimize=True``; loop-backend programs keep the plain
+tape.  The fused-window benchmark still times its gated baseline on the
+v1 single-step tape (``capture_decode_step(..., optimize=False)``).
 The differential suites assert bit-identical logits for optimized
-programs on every plan and backend they cover.
+programs on every plan, batch size and backend they cover.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def optimize_tape(recorder, instrs, const, out_vids):
     instrs = _prebind_einsums(recorder, instrs)
     instrs = _inplace_rope(recorder, instrs, out_vids)
     instrs = _inplace_elementwise(recorder, instrs, out_vids)
-    instrs = _prebind_collectives(recorder, instrs)
+    instrs = _prebind_collectives(recorder, instrs, out_vids)
     instrs = _eliminate_dead(instrs, out_vids)
     return instrs
 
@@ -699,7 +700,7 @@ def _inplace_elementwise(recorder, instrs, out_vids):
 # Prebound collectives
 # ---------------------------------------------------------------------------
 
-def _prebind_collectives(recorder, instrs):
+def _prebind_collectives(recorder, instrs, out_vids):
     from repro.mesh.capture import _Instr
 
     values = recorder._values
@@ -711,9 +712,13 @@ def _prebind_collectives(recorder, instrs):
                                 "all_reduce")):
             dim_idx = meta[2] if len(meta) > 2 else None
             operand = values[ins.inputs[0]]
-            fn = stacked_kernels.prebind_collective_indexed(
-                recorder.mesh, meta[0], meta[1], dim_idx,
-                operand.shape, operand.dtype)
+            fn = None
+            # The indexed form writes into one reused buffer, so it may
+            # not produce a program output (callers hold those).
+            if ins.out not in out_vids:
+                fn = stacked_kernels.prebind_collective_indexed(
+                    recorder.mesh, meta[0], meta[1], dim_idx,
+                    operand.shape, operand.dtype)
             if fn is None:
                 fn = stacked_kernels.prebind_collective(
                     recorder.mesh, meta[0], meta[1], dim_idx)

@@ -38,6 +38,7 @@ same event stream whichever backend executes it.
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 from typing import Sequence
 
@@ -255,6 +256,12 @@ def prebind_collective(mesh, kind: str, axes: Sequence[str],
 _INDEXED_COLLECTIVE_LIMIT = 1 << 18
 
 
+#: Index tables are pure functions of (mesh shape, collective, axes,
+#: dim, input shape), so replicas of one shape share them process-wide
+#: while any prebound closure still holds one.
+_INDEX_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def prebind_collective_indexed(mesh, kind: str, axes: Sequence[str],
                                dim_idx: int | None, in_shape,
                                dtype=np.float64):
@@ -271,28 +278,68 @@ def prebind_collective_indexed(mesh, kind: str, axes: Sequence[str],
     kernels.  Returns ``None`` when the shape is too large for index
     tables to pay off (the caller falls back to
     :func:`prebind_collective`).
+
+    The read-only index table is shared by every closure of the same
+    call shape, and a reduction's gather scratch by every closure on the
+    same mesh (a mesh runs one program at a time, and the scratch never
+    outlives a call); each closure owns only its output buffer.
     """
     size = int(np.prod(in_shape))
     if size > _INDEXED_COLLECTIVE_LIMIT:
         return None
+    key = (mesh.shape, kind, tuple(axes), dim_idx, tuple(in_shape))
+    index = _INDEX_TABLES.get(key)
+    if index is None:
+        index = _index_table(mesh, kind, axes, dim_idx, in_shape)
+        if index is None:
+            return None
+        _INDEX_TABLES[key] = index
+    dtype = np.dtype(dtype)
+
+    if kind == "all_gather":
+        obuf = np.empty(index.shape, dtype)
+
+        def gather(a):
+            a.reshape(-1).take(index, out=obuf)
+            return obuf
+        return gather
+
+    k = index.shape[0]
+    out_shape = tuple(in_shape)
+    if kind == "reduce_scatter":
+        d = 3 + dim_idx  # the three device axes lead
+        out_shape = out_shape[:d] + (out_shape[d] // k,) + out_shape[d + 1:]
+    scratch_key = (index.shape, dtype)
+    gbuf = mesh._replay_scratch.get(scratch_key)
+    if gbuf is None:
+        gbuf = mesh._replay_scratch[scratch_key] = np.empty(index.shape,
+                                                            dtype)
+    obuf = np.empty(out_shape, dtype)
+    oflat = obuf.reshape(-1)
+
+    def reduce_move(a):
+        a.reshape(-1).take(index, out=gbuf)
+        np.add.reduce(gbuf, axis=0, out=oflat)
+        return obuf
+    return reduce_move
+
+
+def _index_table(mesh, kind: str, axes: Sequence[str],
+                 dim_idx: int | None, in_shape) -> np.ndarray | None:
+    """The flat-input index table of one collective call shape: the
+    output-shaped gather map for ``all_gather``, the ``[ranks, out]``
+    combined gather map for reductions; ``None`` when there is nothing
+    to index."""
     meta = _axes_meta(mesh.shape, tuple(mesh.axis_indices(axes)))
     nrest = len(meta[0])
     k = meta[5]
     if k < 2 and kind != "all_gather":
         return None  # nothing to reduce; the generic prebind handles it
-    probe = np.arange(size).reshape(in_shape)
+    probe = np.arange(int(np.prod(in_shape))).reshape(in_shape)
     local = tuple(in_shape[3:])
 
-    dtype = np.dtype(dtype)
-
     if kind == "all_gather":
-        idx = np.ascontiguousarray(_all_gather_meta(probe, dim_idx, meta))
-        obuf = np.empty(idx.shape, dtype)
-
-        def gather(a):
-            a.reshape(-1).take(idx, out=obuf)
-            return obuf
-        return gather
+        return np.ascontiguousarray(_all_gather_meta(probe, dim_idx, meta))
 
     gidx = np.ascontiguousarray(_grouped_view_meta(probe, meta))
     rows = tuple((slice(None),) * nrest + (rank,) for rank in range(k))
@@ -319,17 +366,8 @@ def prebind_collective_indexed(mesh, kind: str, axes: Sequence[str],
     # ``add.reduce`` accumulates in index order; pairwise blocking only
     # applies to innermost-axis reductions).  One gather, one reduction.
     rflat = ridx.reshape(-1)
-    comb = np.stack([
+    return np.stack([
         np.ascontiguousarray(gidx[row]).reshape(-1)[rflat] for row in rows])
-    gbuf = np.empty(comb.shape, dtype)
-    obuf = np.empty(ridx.shape, dtype)
-    oflat = obuf.reshape(-1)
-
-    def reduce_move(a):
-        a.reshape(-1).take(comb, out=gbuf)
-        np.add.reduce(gbuf, axis=0, out=oflat)
-        return obuf
-    return reduce_move
 
 
 def all_to_all(mesh, shards: np.ndarray, axes: Sequence[str],

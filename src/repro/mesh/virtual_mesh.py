@@ -104,6 +104,10 @@ class VirtualMesh:
         self._groups_cache: dict[tuple[str, ...],
                                  list[list[tuple[int, int, int]]]] = {}
         self._rank_grid_cache: dict[tuple[str, ...], np.ndarray] = {}
+        # Gather scratch of prebound reductions, keyed by table shape
+        # and dtype: see
+        # :func:`repro.mesh.stacked.prebind_collective_indexed`.
+        self._replay_scratch: dict[tuple, np.ndarray] = {}
 
     @property
     def shape(self) -> tuple[int, int, int]:

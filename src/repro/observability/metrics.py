@@ -279,12 +279,15 @@ def format_capture_stats(stats: dict) -> str:
     Shows the program-cache population and hit/miss/eviction counters,
     plus the per-reason invalidation breakdown (``plan``, ``caches``,
     ``degraded``, ... — the :meth:`CapturedProgram.mismatch` reasons and
-    ``explicit`` for :meth:`StepCompiler.invalidate` calls).
+    ``explicit`` for :meth:`StepCompiler.invalidate` calls).  The
+    constant rows show the programs' referenced constant bytes against
+    the pooled (distinct) bytes actually held.
     """
     lines = ["Step-compiler program cache",
              f"{'counter':>18s} {'value':>10s}"]
-    for key in ("programs", "eager_steps", "captures", "replays",
-                "hits", "misses", "evictions", "invalidations"):
+    for key in ("programs", "optimized_programs", "eager_steps",
+                "captures", "replays", "hits", "misses", "evictions",
+                "invalidations", "const_bytes", "const_unique_bytes"):
         lines.append(f"{key:>18s} {stats.get(key, 0):>10d}")
     lines.append(f"{'hit rate':>18s} {stats.get('hit_rate', 0.0):>10.1%}")
     reasons = stats.get("invalidation_reasons") or {}

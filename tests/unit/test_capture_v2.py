@@ -26,19 +26,23 @@ from repro.cluster import ClusterControlPlane, run_scenario
 from repro.events import EventLog
 from repro.layouts import ShardedTransformer
 from repro.mesh import BACKENDS, VirtualMesh
+from repro.layouts.kv_cache import layout_signature
 from repro.mesh.capture import (
     FUSE_ENV,
     StepCompiler,
+    capture_decode_step,
     fuse_window_from_env,
 )
 from repro.mesh.faults import CollectiveFault, CollectiveTimeout, FaultPlan
 from repro.model import init_weights, tiny_test_config
 from repro.model.sampling import greedy
+from repro.observability import format_capture_stats
 from repro.partitioning import (
     AttentionLayoutKind,
     FfnLayoutKind,
     LayoutPlan,
 )
+from repro.partitioning.degraded import migrate_caches
 from repro.serving.chunked import chunked_prefill
 
 CFG = tiny_test_config(n_layers=2, d_model=16, d_ff=32, n_heads=8,
@@ -174,6 +178,169 @@ class TestBucketedProgramCache:
         assert compiler.n_programs == 0
         assert compiler.invalidations == 1
         assert compiler.stats()["invalidations"] == 1
+
+
+# Decode plans the cluster runs at 2x2x2 with batches of up to four:
+# the selector's balanced pick, the weight-gathered throughput profile
+# (refuses batches its batch group does not divide) and the 2D
+# weight-stationary layout.
+DECODE_PLANS = {
+    "balanced": (LayoutPlan(FfnLayoutKind.WS_1D, AttentionLayoutKind.HEAD),
+                 (1, 2, 3, 4)),
+    "weight-gathered": (LayoutPlan(FfnLayoutKind.WG_X,
+                                   AttentionLayoutKind.BATCH), (2, 4)),
+    "ws-2d": (LayoutPlan(FfnLayoutKind.WS_2D, AttentionLayoutKind.HEAD),
+              (1, 2, 3, 4)),
+}
+
+
+def twin(plan, batch, backend="stacked", steps=6):
+    """A (model, caches, next-token) triple on a fresh 2x2x2 mesh."""
+    mesh = VirtualMesh((2, 2, 2), backend=backend)
+    model = ShardedTransformer(WEIGHTS, mesh, plan)
+    logits, caches = model.prefill(PROMPT[:batch],
+                                   PROMPT.shape[1] + steps)
+    return model, caches, np.argmax(logits, -1)
+
+
+def assert_replays_like_eager(eager_model, eager_caches, model, caches,
+                              tok, steps=4):
+    """Capture one step, replay ``steps`` more: logits bit-identical."""
+    eager = eager_model.decode_step(tok, eager_caches)
+    captured, program = capture_decode_step(model, tok, caches)
+    assert np.array_equal(captured, eager)
+    tok = np.argmax(eager, -1)
+    for _ in range(steps):
+        eager = eager_model.decode_step(tok, eager_caches)
+        assert program.matches(model, tok, caches)
+        replayed = program.replay(tok, caches)
+        assert replayed.dtype == eager.dtype
+        assert np.array_equal(replayed, eager)
+        tok = np.argmax(eager, -1)
+    assert caches_equal(model.mesh, eager_caches, caches)
+    return program
+
+
+class TestOptimizedSingleStep:
+    """Single-step decode programs run the tape optimizer (stacked)."""
+
+    @pytest.mark.parametrize("profile", sorted(DECODE_PLANS))
+    def test_every_plan_and_batch_bit_identical(self, profile):
+        plan, batches = DECODE_PLANS[profile]
+        for batch in batches:
+            eager_model, eager_caches, tok = twin(plan, batch, steps=5)
+            model, caches, _ = twin(plan, batch, steps=5)
+            program = assert_replays_like_eager(
+                eager_model, eager_caches, model, caches, tok)
+            assert program.optimized
+
+    def test_loop_backend_stays_unoptimized(self):
+        plan, _ = DECODE_PLANS["balanced"]
+        eager_model, eager_caches, tok = twin(plan, 4, backend="loop")
+        model, caches, _ = twin(plan, 4, backend="loop")
+        program = assert_replays_like_eager(eager_model, eager_caches,
+                                            model, caches, tok)
+        assert not program.optimized
+        compiler = StepCompiler(warmup_steps=0)
+        compiler.decode_step(model, tok, caches)
+        assert compiler.stats()["optimized_programs"] == 0
+
+    def test_v1_tape_on_request(self):
+        model, caches, tok = twin(DECODE_PLANS["balanced"][0], 4)
+        _, program = capture_decode_step(model, tok, caches,
+                                         optimize=False)
+        assert not program.optimized
+
+    def test_after_reshard_cache(self):
+        """Caches moved into another plan's layout replay bit-identically
+        on the target plan, and a program of the source layout misses."""
+        src_plan, _ = DECODE_PLANS["balanced"]
+        dst_plan, _ = DECODE_PLANS["weight-gathered"]
+        twins = []
+        for _ in range(2):
+            model, caches, tok = twin(src_plan, 4, steps=8)
+            _, program = capture_decode_step(model, tok, caches)
+            tok = np.argmax(model.decode_step(tok, caches), -1)
+            target = ShardedTransformer(WEIGHTS, model.mesh, dst_plan)
+            moved = model.reshard_cache(caches, target)
+            twins.append((target, moved, tok, (model, program)))
+        (eager_model, eager_caches, tok, _), \
+            (model, caches, _, (source, old)) = twins
+        assert [c.layout_sig for c in caches] == \
+            [layout_signature(c) for c in caches]
+        # Same mesh, plan and tokens: only the cache layout changed.
+        assert old.mismatch(source, tok, caches) == "caches"
+        program = assert_replays_like_eager(eager_model, eager_caches,
+                                            model, caches, tok)
+        assert program.optimized
+
+    def test_after_migration_to_another_mesh(self):
+        """The cluster's migrate_to moves KV onto a fresh replica mesh."""
+        plan, _ = DECODE_PLANS["ws-2d"]
+        twins = []
+        for _ in range(2):
+            model, caches, tok = twin(plan, 3)
+            tok = np.argmax(model.decode_step(tok, caches), -1)
+            target = ShardedTransformer(
+                WEIGHTS, VirtualMesh((2, 2, 2), backend="stacked"), plan)
+            twins.append((target, migrate_caches(caches, model, target),
+                          tok))
+        (eager_model, eager_caches, tok), (model, caches, _) = twins
+        program = assert_replays_like_eager(eager_model, eager_caches,
+                                            model, caches, tok)
+        assert program.optimized
+
+    def test_compiler_misses_on_resharded_cache(self):
+        src_plan, _ = DECODE_PLANS["balanced"]
+        model, caches, tok = twin(src_plan, 4)
+        compiler = StepCompiler(warmup_steps=0)
+        tok = np.argmax(compiler.decode_step(model, tok, caches), -1)
+        target = ShardedTransformer(WEIGHTS, model.mesh,
+                                    DECODE_PLANS["weight-gathered"][0])
+        moved = model.reshard_cache(caches, target)
+        compiler.decode_step(target, tok, moved)
+        assert compiler.hits == 0 and compiler.captures == 2
+
+    def test_constants_pooled_across_programs(self):
+        """Two batch sizes' programs share one copy of every equal
+        constant (the folded weight gathers) and replay unchanged."""
+        plan, _ = DECODE_PLANS["weight-gathered"]
+        compiler = StepCompiler(warmup_steps=0)
+        runs = []
+        for batch in (2, 4):
+            eager_model, eager_caches, tok = twin(plan, batch)
+            model, caches, _ = twin(plan, batch)
+            runs.append([eager_model, eager_caches, model, caches, tok])
+        # The second batch size shares the first one's model, so its
+        # folded gathers are recomputed copies of the same values.
+        model = runs[0][2]
+        runs[1][2] = model
+        runs[1][3] = model.new_cache(4, PROMPT.shape[1] + 6)
+        model.forward(PROMPT[:4], runs[1][3])
+        for _ in range(4):
+            for run in runs:
+                eager_model, eager_caches, model, caches, tok = run
+                eager = eager_model.decode_step(tok, eager_caches)
+                got = compiler.decode_step(model, tok, caches)
+                assert np.array_equal(got, eager)
+                run[4] = np.argmax(eager, -1)
+        assert compiler.captures == 2 and compiler.replays == 6
+        first, second = compiler._programs.values()
+        shared = 0
+        for a in first.constants():
+            for b in second.constants():
+                if (a.shape == b.shape and a.dtype == b.dtype
+                        and np.array_equal(a, b)):
+                    assert a is b
+                    shared += 1
+        assert shared > 0
+        stats = compiler.stats()
+        assert stats["optimized_programs"] == 2
+        assert 0 < stats["const_unique_bytes"] < stats["const_bytes"]
+        table = format_capture_stats(stats)
+        for row in ("optimized_programs", "const_bytes",
+                    "const_unique_bytes"):
+            assert row in table
 
 
 class TestFusedWindow:

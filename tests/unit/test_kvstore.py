@@ -126,6 +126,44 @@ class TestRadixProperties:
         # child is gone.
         assert {p.tokens for p in idx.pages()} == {(0, 0), (2, 2)}
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(token_seqs, min_size=1, max_size=8), st.data())
+    def test_evict_order_matches_brute_force(self, inserted, data):
+        """Eviction order equals re-scanning every prefix per eviction."""
+        idx = RadixIndex(PAGE)
+        counter = [0]
+        paths: dict[tuple, Page] = {}  # cached prefix -> its page
+        for seq in inserted:
+            pages = fresh_pages(counter, seq)
+            idx.insert(seq, pages)
+            for n, page in enumerate(pages, 1):
+                paths.setdefault(tuple(seq[:n * PAGE]), page)
+        for page in paths.values():
+            page.last_use = float(data.draw(st.integers(0, 3)))  # ties
+            page.refcount = data.draw(st.sampled_from([0, 0, 0, 1]))
+        n_pages = data.draw(st.integers(0, len(paths) + 2))
+
+        expected = []
+        remaining = dict(paths)
+        while len(expected) < n_pages:
+            leaves = [path for path in remaining
+                      if remaining[path].refcount == 0
+                      and not any(len(other) > len(path)
+                                  and other[:len(path)] == path
+                                  for other in remaining)]
+            if not leaves:
+                break
+            victim = min(leaves, key=lambda path: (
+                remaining[path].last_use, remaining[path].page_id))
+            expected.append(remaining.pop(victim))
+
+        evicted = idx.evict(n_pages)
+        assert [p.page_id for p in evicted] == \
+            [p.page_id for p in expected]
+        assert idx.n_pages == len(remaining)
+        assert {p.page_id for p in idx.pages()} == \
+            {p.page_id for p in remaining.values()}
+
 
 # One interleaving step: adopt a chain, take a lease, or release one.
 _ops = st.lists(

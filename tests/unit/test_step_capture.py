@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.layouts import ShardedTransformer
+from repro.layouts.kv_cache import layout_signature
 from repro.mesh import (
     AUTO_BACKEND_MIN_CHIPS,
     BACKEND_CHOICES,
@@ -29,6 +30,7 @@ from repro.mesh.capture import (
 )
 from repro.mesh.faults import CollectiveFault, CollectiveTimeout, FaultPlan
 from repro.mesh.looped import all_gather_einsum
+from repro.mesh.ops import all_gather
 from repro.mesh.stacked import stack_shards, unstack_shards
 from repro.model import init_weights, tiny_test_config
 from repro.partitioning import (
@@ -146,6 +148,17 @@ class TestInvalidation:
         # Caches living on a different mesh also invalidate, even when
         # the owning model matches.
         assert not program.matches(model, tok, other_caches)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_cache_layout_sig_fixed_at_construction(self, backend):
+        """The signature a program pins is derived once per cache."""
+        model, caches, tok = build(backend)
+        _, program = model.capture_decode_step(tok, caches)
+        program.replay(tok, caches)
+        assert program.signature.cache_sig == tuple(
+            layout_signature(c) for c in caches)
+        assert all(c.layout_sig == layout_signature(c) for c in caches)
+        assert program.signature.tokens_dtype == tok.dtype
 
     def test_cache_fill_level_is_free(self):
         """max_len and fill level are not part of the signature."""
@@ -282,6 +295,26 @@ class TestTapeApi:
             assert recorder.collectives == 1
             program = recorder.finalize(fused.shards)
         assert program is None
+
+    def test_optimized_collective_output_not_reused(self):
+        """A program whose output is a collective keeps returning fresh
+        arrays under the optimizer (its indexed form reuses one buffer)."""
+        mesh = VirtualMesh((2, 2, 2), backend="stacked")
+        rng = np.random.default_rng(3)
+        x = ShardedTensor.from_global(mesh, rng.normal(size=(4, 8)), "BE_y")
+        with capturing(mesh) as recorder:
+            recorder.record(lambda ctx: ctx.tokens, (recorder.CTX,),
+                            x.shards, "input")
+            gathered = all_gather(x, ("y",), "E")
+            program = recorder.finalize(gathered.shards, optimize=True)
+        assert program.optimized
+        first = program.replay(tokens=x.shards)
+        snapshot = first.copy()
+        x2 = ShardedTensor.from_global(mesh, rng.normal(size=(4, 8)),
+                                       "BE_y")
+        second = program.replay(tokens=x2.shards)
+        assert np.array_equal(first, snapshot)
+        assert np.array_equal(second, all_gather(x2, ("y",), "E").shards)
 
     def test_nested_capture_rejected(self):
         mesh = VirtualMesh((1, 2, 1))
