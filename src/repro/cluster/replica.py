@@ -350,8 +350,8 @@ class Replica:
                                                    self.mesh, plan)
         self.step_compiler.invalidate()
         # Pages store KV in global form, so the prefix cache survives a
-        # layout switch — install resharding onto the new plan is the
-        # same host-mediated copy either way.
+        # layout switch: install broadcasts a page into a replicated
+        # cache layout and reshards it into a sharded one.
         self._wire_kv()
         self.profile = profile
         self.events.record(

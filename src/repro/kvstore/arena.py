@@ -4,10 +4,13 @@ Two kinds of memory live here.
 
 **Pages** are the unit of sharing: a fixed span of ``page_tokens``
 token ids plus the per-layer K/V those tokens produced, stored in
-*global* (unsharded) form.  KV contents are layout-independent — the
-same bytes regardless of mesh shape or backend (the repo's core
-bit-identity invariant) — so a page extracted on one replica installs
-into any cache spec on any mesh.  Pages are sealed read-only at
+*global* (unsharded) form — for the replicated multiquery layout that
+is one replica's bytes, copied out so the page owns them.  KV contents
+are layout-independent — the same bytes regardless of mesh shape or
+backend (the repo's core bit-identity invariant) — so a page extracted
+on one replica installs into any cache spec on any mesh: broadcast
+into every device of a replicated layout, resharded into a sharded
+one.  Pages are sealed read-only at
 creation (``setflags(write=False)``): sharing is copy-on-write by
 construction, because a request that diverges from a cached prefix
 never mutates the shared page — it computes fresh K/V into its own
@@ -19,10 +22,14 @@ cache and seals *new* pages for the divergent span.
 its exact device geometry and returns it when garbage collected (a
 ``weakref.finalize`` hook), so steady-state serving reuses a small set
 of slabs instead of churning allocations.  Leased buffers are zeroed,
-keeping pooled caches bit-identical to freshly allocated ones.
+keeping pooled caches bit-identical to freshly allocated ones.  A lease
+that has to allocate drops the longest-pooled pair of another geometry,
+so the arena never holds more pairs than were ever live at once.
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 import numpy as np
 
@@ -80,18 +87,27 @@ def _zero(buffer: np.ndarray) -> None:
 class KVBufferArena:
     """Free-list pool of (k, v) device buffer pairs, keyed by geometry.
 
-    ``lease`` pops a matching pair (zeroed) or allocates a fresh one;
-    ``reclaim`` — normally reached via the cache's ``weakref.finalize``
-    — pushes the pair back.  A reused buffer is indistinguishable from a
-    fresh allocation, so pooling cannot affect numerics.
+    ``lease`` pops a matching pair (zeroed) or allocates a fresh one —
+    dropping the longest-pooled pair, whatever its geometry, so pooled
+    plus live pairs never exceed the most ever live at once; ``reclaim``
+    — normally reached via the cache's ``weakref.finalize`` — pushes
+    the pair back.  A reused buffer is indistinguishable from a fresh
+    allocation, so pooling cannot affect numerics.
     """
 
     def __init__(self):
-        self._free: dict[tuple, list[tuple[np.ndarray, np.ndarray]]] = {}
+        # Pooled pairs in reclaim order, and each geometry's pool tickets
+        # oldest first (tickets only grow, so a key's first ticket is its
+        # oldest pair).
+        self._pool: OrderedDict[int, tuple[tuple, np.ndarray,
+                                           np.ndarray]] = OrderedDict()
+        self._free: dict[tuple, list[int]] = {}
+        self._ticket = 0
         self.leases = 0
         self.reuses = 0
         self.allocs = 0
         self.reclaims = 0
+        self.drops = 0
 
     @staticmethod
     def _key(mesh, local: tuple[int, ...], dtype) -> tuple:
@@ -105,11 +121,15 @@ class KVBufferArena:
         key = self._key(mesh, local, dtype)
         free = self._free.get(key)
         if free:
-            k, v = free.pop()
+            _, k, v = self._pool.pop(free.pop())
             _zero(k)
             _zero(v)
             self.reuses += 1
         else:
+            if self._pool:
+                ticket, (old, _, _) = self._pool.popitem(last=False)
+                self._free[old].remove(ticket)  # that key's oldest
+                self.drops += 1
             if mesh.backend == "stacked":
                 k = np.zeros(mesh.shape + tuple(local), dtype=dtype)
                 v = np.zeros(mesh.shape + tuple(local), dtype=dtype)
@@ -124,19 +144,22 @@ class KVBufferArena:
 
     def reclaim(self, key: tuple, k: np.ndarray, v: np.ndarray) -> None:
         """Return a leased pair to the free list."""
-        self._free.setdefault(key, []).append((k, v))
+        self._ticket += 1
+        self._pool[self._ticket] = (key, k, v)
+        self._free.setdefault(key, []).append(self._ticket)
         self.reclaims += 1
 
     def clear(self) -> None:
         """Drop all pooled buffers (mesh geometry changed / restart)."""
+        self._pool.clear()
         self._free.clear()
 
     def stats(self) -> dict:
-        pooled = sum(len(pairs) for pairs in self._free.values())
         return {
             "arena_leases": self.leases,
             "arena_reuses": self.reuses,
             "arena_allocs": self.allocs,
             "arena_reclaims": self.reclaims,
-            "arena_pooled_buffers": pooled,
+            "arena_drops": self.drops,
+            "arena_pooled_buffers": len(self._pool),
         }

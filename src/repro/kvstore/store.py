@@ -11,18 +11,23 @@ consults it before computing anything:
    always recomputed — the prefill must still produce last-token
    logits.
 2. ``install(lease, caches)`` — write the pinned pages into freshly
-   allocated caches (global bytes -> ``load_prefix``, exactly the
-   Section 4.4 host-mediated transfer), setting ``cache.length`` so the
-   model's position arithmetic resumes at the cached offset.
+   allocated caches (``ShardedKVCache.load_global``: a broadcast write
+   into every device of a replicated layout, a ``from_global`` reshard
+   into a sharded one), setting ``cache.length`` so the model's
+   position arithmetic resumes at the cached offset.
 3. compute only the uncached suffix (the caller's loop);
 4. ``commit(prompt, caches)`` — seal every *new* whole page of the
    finished prefill into the index (shared prefixes dedup), then evict
-   LRU unpinned pages if over capacity.
+   LRU unpinned pages if over capacity.  A replicated layout's pages
+   are copied from one replica, after the replica-agreement check
+   ``to_global`` runs; a sharded layout is reassembled by
+   ``to_global``.
 5. ``release(lease)`` — unpin, once the decode slot retires.
 
-Pages hold global (unsharded) bytes, so a hit is bit-identical to the
-recompute path on every backend and across mesh shapes — asserted by
-the differential tests.  ``invalidate`` mirrors the step compiler:
+Pages hold global (unsharded) bytes — one replica's bytes, copied so
+the page owns them — so a hit is bit-identical to the recompute path
+on every backend and across mesh shapes — asserted by the differential
+tests.  ``invalidate`` mirrors the step compiler:
 restarts and replans drop the index (an epoch bump); leases taken
 before the bump release as no-ops (``stale_releases``).  ``adopt``
 registers another store's pages by reference (the disaggregated
@@ -98,10 +103,10 @@ class PrefillReuse:
 
 
 def _layer_globals(cache) -> tuple[np.ndarray, np.ndarray]:
-    """One layer's filled K/V prefix in global form, any cache type."""
-    if hasattr(cache, "as_sharded"):
-        k_sh, v_sh = cache.as_sharded()
-        return k_sh.to_global(), v_sh.to_global()
+    """One layer's filled K/V prefix in global form, any cache type —
+    possibly views of live cache buffers, so page bytes are copied."""
+    if hasattr(cache, "global_prefix"):
+        return cache.global_prefix()
     return (np.asarray(cache.k[:, :cache.length]),
             np.asarray(cache.v[:, :cache.length]))
 
@@ -222,8 +227,10 @@ class KVStore:
     def install(self, lease: PageLease, caches) -> int:
         """Write the leased prefix into fresh caches; returns its length.
 
-        Caches may be sharded (``load_prefix``) or the reference model's
-        plain numpy buffers — pages are global bytes either way.
+        Caches may be sharded (``load_global``: a broadcast write into
+        a replicated layout, a reshard into a sharded one) or the
+        reference model's plain numpy buffers — pages are global bytes
+        either way.
         """
         n = lease.n_tokens
         if n == 0:
@@ -235,12 +242,8 @@ class KVStore:
         for layer, cache in enumerate(caches):
             k_g = np.concatenate([p.k[layer] for p in lease.pages], axis=1)
             v_g = np.concatenate([p.v[layer] for p in lease.pages], axis=1)
-            if hasattr(cache, "load_prefix"):
-                from repro.mesh import ShardedTensor
-
-                k_t = ShardedTensor.from_global(cache.mesh, k_g, cache.spec)
-                v_t = ShardedTensor.from_global(cache.mesh, v_g, cache.spec)
-                cache.load_prefix(k_t, v_t, n)
+            if hasattr(cache, "load_global"):
+                cache.load_global(k_g, v_g)
             else:
                 cache.k[:, :n] = k_g
                 cache.v[:, :n] = v_g
@@ -268,9 +271,11 @@ class KVStore:
             start = pidx * self.page_tokens
             stop = start + self.page_tokens
             span = tuple(int(t) for t in tokens[start:stop])
-            k_page = tuple(np.ascontiguousarray(k_g[:, start:stop])
+            # A page owns its bytes: the globals may view cache buffers
+            # that the arena hands to the next request.
+            k_page = tuple(np.array(k_g[:, start:stop])
                            for k_g, _ in globals_per_layer)
-            v_page = tuple(np.ascontiguousarray(v_g[:, start:stop])
+            v_page = tuple(np.array(v_g[:, start:stop])
                            for _, v_g in globals_per_layer)
             self._page_counter += 1
             pages.append(Page(self._page_counter, span, k_page, v_page))

@@ -17,11 +17,17 @@ from repro.model.rope import apply_rope
 from repro.sharding.spec import ShardSpec
 
 
-def _record(mesh, fn, inputs, output, label, meta=None) -> None:
-    """Capture-recorder hook (duck-typed; see :mod:`repro.mesh.capture`)."""
+def _record(mesh, fn, inputs, output, label, meta=None,
+            spec: ShardSpec | None = None) -> None:
+    """Capture-recorder hook (duck-typed; see :mod:`repro.mesh.capture`).
+
+    A per-device kernel passes its output ``spec``: the instruction then
+    carries the device axes its output is replicated on."""
     recorder = getattr(mesh, "capture", None)
     if recorder is not None:
-        recorder.record(fn, inputs, output, label, meta=meta)
+        recorder.record(fn, inputs, output, label, meta=meta,
+                        replicated=mesh.replicated_axes(spec)
+                        if spec is not None else ())
 
 
 def zip_shards(out_spec: ShardSpec, out_shape: Sequence[int],
@@ -42,7 +48,7 @@ def zip_shards(out_spec: ShardSpec, out_shape: Sequence[int],
     inputs = tuple(t.shards for t in tensors)
     if elementwise and all(t.is_stacked for t in tensors):
         shards = fn(*inputs)
-        _record(mesh, fn, inputs, shards, "zip_shards")
+        _record(mesh, fn, inputs, shards, "zip_shards", spec=out_spec)
         return ShardedTensor(mesh, out_spec, tuple(out_shape), shards)
     shards = mesh.map_devices(
         lambda c: fn(*(t.shards[c] for t in tensors)))
@@ -85,7 +91,7 @@ def sharded_rmsnorm(x: ShardedTensor, scale: ShardedTensor,
         shards = stacked_norm(x.shards, sumsq.shards, scale.shards)
         _record(x.mesh, stacked_norm,
                 (x.shards, sumsq.shards, scale.shards), shards, "rmsnorm",
-                meta=("rmsnorm", e_size, eps))
+                meta=("rmsnorm", e_size, eps), spec=x.spec)
         return ShardedTensor(x.mesh, x.spec, x.global_shape, shards)
 
     def normalize(x_shard, ss_shard, scale_shard):
@@ -127,7 +133,7 @@ def sharded_rope(x: ShardedTensor, positions: np.ndarray,
             lambda c: apply_rope(s[c], p, theta))
         meta = None
     recorder.record(replay, (positions, x.shards), out.shards, "rope",
-                    meta=meta)
+                    meta=meta, replicated=mesh.replicated_axes(x.spec))
     return out
 
 
@@ -162,15 +168,19 @@ def local_attention(mesh: VirtualMesh, out_spec: ShardSpec,
         def replay_stacked(qs, ks, vs):
             # The decode position is step-varying: rederive it from the
             # KV view length (M - L), exactly what the model passes in.
+            # The device axes come from the operands, not the mesh: the
+            # replica-dedup pass replays this on a one-replica slice.
             folded = _attention_fast(
                 qs.reshape((-1,) + qs.shape[4:]),
                 ks.reshape((-1,) + ks.shape[4:]),
                 vs.reshape((-1,) + vs.shape[4:]),
                 ks.shape[4] - qs.shape[4])
-            return folded.reshape(mesh.shape + (b_loc,) + folded.shape[1:])
+            return folded.reshape(qs.shape[:3] + (b_loc,)
+                                  + folded.shape[1:])
 
         _record(mesh, replay_stacked, (q.shards, k_shards, v_shards),
-                shards, "attention", meta=("attention", b_loc))
+                shards, "attention", meta=("attention", b_loc),
+                spec=out_spec)
         return ShardedTensor(mesh, out_spec, tuple(out_shape), shards)
 
     shards = mesh.map_devices(

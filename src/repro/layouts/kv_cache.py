@@ -34,7 +34,29 @@ import weakref
 import numpy as np
 
 from repro.mesh import ShardedTensor, VirtualMesh
+from repro.mesh.sharded_tensor import check_replicas
 from repro.sharding.spec import ShardingError, ShardSpec, parse
+
+#: The layout of global form: every device holds the whole history.  A
+#: page of the prefix store (:mod:`repro.kvstore`) is one replica of it.
+GLOBAL_SPEC = ShardSpec.replicated("BMKD")
+
+
+def same_layout(cache: "ShardedKVCache", mesh: VirtualMesh,
+                spec: ShardSpec | str) -> bool:
+    """True when moving ``cache`` into a ``spec`` cache on ``mesh`` keeps
+    the sharding spec, the mesh shape and the backend.
+
+    Device ``(i, j, k)`` of the destination then holds exactly the shard
+    device ``(i, j, k)`` of the source holds, so the move copies shard
+    to shard; only a cross-layout move goes through global form.
+    Against :data:`GLOBAL_SPEC` it asks whether one replica of the
+    cache *is* the global history.
+    """
+    if isinstance(spec, str):
+        spec = parse(spec)
+    return (cache.spec == spec and cache.mesh.shape == mesh.shape
+            and cache.mesh.backend == mesh.backend)
 
 
 def layout_signature(cache: "ShardedKVCache") -> tuple:
@@ -179,6 +201,77 @@ class ShardedKVCache:
                 self.k[coord][:, :length] = k_t.shards[coord]
                 self.v[coord][:, :length] = v_t.shards[coord]
         self.length = length
+
+    def _filled(self, buffer: np.ndarray) -> np.ndarray:
+        """Per-device ``[:length]`` views of one buffer (no recording)."""
+        n = self.length
+        if self.is_stacked:
+            return buffer[:, :, :, :, :n]
+        return self.mesh.map_devices(lambda c: buffer[c][:, :n])
+
+    def check_replicas(self) -> None:
+        """Raise ``ShardingError`` when devices meant to hold the same
+        filled history disagree — the check ``to_global`` runs, for
+        moves that never build the global array."""
+        for buffer in (self.k, self.v):
+            check_replicas(self.mesh, self.spec, self._filled(buffer))
+
+    def copy_from(self, src: "ShardedKVCache", row: int = 0) -> None:
+        """Copy ``src``'s filled history shard to shard into local batch
+        rows ``[row, row + src rows)`` and take its length.
+
+        Same-layout moves only (:func:`same_layout`); the caller runs
+        :meth:`check_replicas` on ``src`` first.
+        """
+        n = src.length
+        if self.is_stacked:
+            rows = slice(row, row + src.k.shape[3])
+            self.k[:, :, :, rows, :n] = src.k[:, :, :, :, :n]
+            self.v[:, :, :, rows, :n] = src.v[:, :, :, :, :n]
+        else:
+            for coord in self.mesh.devices():
+                rows = slice(row, row + src.k[coord].shape[0])
+                self.k[coord][rows, :n] = src.k[coord][:, :n]
+                self.v[coord][rows, :n] = src.v[coord][:, :n]
+        self.length = n
+
+    def load_global(self, k_global: np.ndarray,
+                    v_global: np.ndarray) -> None:
+        """Fill positions ``[0, n)`` from global ``[B, n, K, D]`` arrays.
+
+        A replicated layout broadcast-writes the bytes into every
+        device's buffer; a sharded one reshards them (``from_global``).
+        """
+        n = k_global.shape[1]
+        if not same_layout(self, self.mesh, GLOBAL_SPEC):
+            self.load_prefix(
+                ShardedTensor.from_global(self.mesh, k_global, self.spec),
+                ShardedTensor.from_global(self.mesh, v_global, self.spec),
+                n)
+            return
+        if self.is_stacked:
+            self.k[:, :, :, :, :n] = k_global
+            self.v[:, :, :, :, :n] = v_global
+        else:
+            for coord in self.mesh.devices():
+                self.k[coord][:, :n] = k_global
+                self.v[coord][:, :n] = v_global
+        self.length = n
+
+    def global_prefix(self) -> tuple[np.ndarray, np.ndarray]:
+        """The filled history in global ``[B, length, K, D]`` form, with
+        replica agreement checked.
+
+        A replicated layout returns views of replica ``(0, 0, 0)``'s
+        buffers — copy what you keep, the buffers are reused.
+        """
+        if not same_layout(self, self.mesh, GLOBAL_SPEC):
+            k_sh, v_sh = self.as_sharded()
+            return k_sh.to_global(), v_sh.to_global()
+        self.check_replicas()
+        # Device (0, 0, 0)'s buffer, on either backend.
+        return (self.k[0, 0, 0][:, :self.length],
+                self.v[0, 0, 0][:, :self.length])
 
     def views(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-device ``[B_loc, length, K_loc, D]`` views — an object array

@@ -48,7 +48,7 @@ from repro.layouts.helpers import (
     sharded_rope,
     zip_shards,
 )
-from repro.layouts.kv_cache import ShardedKVCache
+from repro.layouts.kv_cache import ShardedKVCache, same_layout
 from repro.mesh import (
     ShardedTensor,
     VirtualMesh,
@@ -236,23 +236,24 @@ class ShardedTransformer:
 
         This is the prefill-server -> decode-server cache transfer of
         Section 4.4 (host-mediated; its cost is one KV-cache-sized copy,
-        paid once per request rather than per decode step).
+        paid once per request rather than per decode step).  The new
+        caches lease from ``target``'s buffer arena.  When the move keeps
+        spec, mesh shape and backend (:func:`same_layout`) each device's
+        shard copies straight across; otherwise the history goes through
+        global form.
         """
         out = []
         for cache in caches:
-            k_sh, v_sh = cache.as_sharded()
             new = ShardedKVCache(
                 target.mesh, target.cache_spec(), cache.global_shape[0],
                 cache.max_len, cache.global_shape[2],
-                cache.global_shape[3], dtype=cache.dtype)
-            spec = new.spec
-            k_global, v_global = k_sh.to_global(), v_sh.to_global()
-            filled = ShardedTensor.from_global(
-                target.mesh, k_global,
-                spec.with_dim_axes("M", ()))
-            filled_v = ShardedTensor.from_global(
-                target.mesh, v_global, spec.with_dim_axes("M", ()))
-            new.load_prefix(filled, filled_v, cache.length)
+                cache.global_shape[3], dtype=cache.dtype,
+                arena=target.kv_arena)
+            if same_layout(cache, target.mesh, new.spec):
+                cache.check_replicas()
+                new.copy_from(cache)
+            else:
+                new.load_global(*cache.global_prefix())
             out.append(new)
         return out
 

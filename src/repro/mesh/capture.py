@@ -133,11 +133,12 @@ class _Instr:
     """One replayable instruction: a closure over resolved kernel params."""
 
     __slots__ = ("fn", "inputs", "out", "label", "collective", "arena",
-                 "buffer", "meta")
+                 "buffer", "meta", "replicated")
 
     def __init__(self, fn: Callable, inputs: tuple[int, ...],
                  out: int | None, label: str, collective: bool,
-                 arena: bool, meta: tuple | None = None):
+                 arena: bool, meta: tuple | None = None,
+                 replicated: tuple[int, ...] = ()):
         self.fn = fn
         self.inputs = inputs
         self.out = out
@@ -146,6 +147,9 @@ class _Instr:
         self.arena = arena
         self.buffer: np.ndarray | None = None
         self.meta = meta
+        # Device axes the output holds identical copies on, from its
+        # sharding spec at record time (the replica-dedup pass input).
+        self.replicated = replicated
 
 
 @dataclass(frozen=True)
@@ -269,7 +273,7 @@ class CapturedProgram:
                  tokens_2d: bool = False, span_name: str = "captured_step",
                  collectives_captured: int = 0,
                  collectives_folded: int = 0,
-                 optimized: bool = False,
+                 optimized: bool = False, deduped: int = 0,
                  const_vids: tuple[int, ...] = ()):
         self.mesh = mesh
         self.signature = signature
@@ -283,6 +287,8 @@ class CapturedProgram:
         self.collectives_captured = collectives_captured
         self.collectives_folded = collectives_folded
         self.optimized = optimized
+        # Recorded kernels the optimizer runs on one replica.
+        self.deduped = deduped
         self.const_vids = const_vids
         # Fast-path execution tuples: one attribute walk at build time
         # instead of per instruction per replay.
@@ -518,7 +524,8 @@ class StepRecorder:
 
     def record(self, fn: Callable, inputs: Sequence, output,
                label: str = "", *, collective: bool = False,
-               arena: bool = False, meta: tuple | None = None) -> None:
+               arena: bool = False, meta: tuple | None = None,
+               replicated: tuple[int, ...] = ()) -> None:
         """Append one instruction.
 
         ``fn`` must recompute ``output`` bit-identically from the input
@@ -529,6 +536,10 @@ class StepRecorder:
         the step-varying replay context.  ``meta`` optionally carries
         the op's resolved parameters for the tape optimizer
         (:mod:`repro.mesh.replay_opt`); it never affects plain replay.
+        ``replicated`` names the device axes the output is replicated on
+        (:meth:`~repro.mesh.virtual_mesh.VirtualMesh.replicated_axes` of
+        its sharding spec); the optimizer runs such a kernel on one
+        replica.  Hooks pass it only for per-device kernels.
         """
         if not self.recording:
             return
@@ -537,7 +548,7 @@ class StepRecorder:
         if collective:
             self.collectives += 1
         self._instrs.append(_Instr(fn, ins, out, label, collective, arena,
-                                   meta))
+                                   meta, replicated))
 
     # -- program construction ----------------------------------------------
 
@@ -586,11 +597,12 @@ class StepRecorder:
             return None
 
         optimized = False
+        deduped = 0
         if optimize:
             from repro.mesh import replay_opt
 
-            kept = replay_opt.optimize_tape(self, kept, const,
-                                            set(out_vids))
+            kept, deduped = replay_opt.optimize_tape(self, kept, const,
+                                                     set(out_vids))
             optimized = True
 
         template: list[Any] = [None] * len(self._values)
@@ -630,7 +642,7 @@ class StepRecorder:
             tokens_2d=tokens_2d, span_name=span_name,
             collectives_captured=self.collectives,
             collectives_folded=folded_collectives,
-            optimized=optimized, const_vids=const_vids)
+            optimized=optimized, deduped=deduped, const_vids=const_vids)
 
 
 @contextmanager
@@ -845,6 +857,8 @@ class StepCompiler:
             "invalidation_reasons": dict(self.invalidation_reasons),
             "optimized_programs": sum(
                 p.optimized for p in self._programs.values()),
+            "deduped_instructions": sum(
+                p.deduped for p in self._programs.values()),
             "const_bytes": sum(leaf.nbytes for leaf in leaves),
             "const_unique_bytes": sum(unique.values()),
         }

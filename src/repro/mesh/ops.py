@@ -113,7 +113,8 @@ def _fault_post(mesh: VirtualMesh, op: str, axes: tuple[str, ...],
 
 def _capture(mesh: VirtualMesh, fn, inputs: tuple, output,
              label: str, *, collective: bool = True,
-             arena: bool = False, meta: tuple | None = None) -> None:
+             arena: bool = False, meta: tuple | None = None,
+             spec: ShardSpec | None = None) -> None:
     """Capture-recorder hook (duck-typed like ``tracer``/``fault_state``).
 
     With a :class:`repro.mesh.capture.StepRecorder` installed as
@@ -121,12 +122,16 @@ def _capture(mesh: VirtualMesh, fn, inputs: tuple, output,
     resolved kernel and its parameters — as one replay instruction
     mapping the input shard arrays to the output shard array.  One
     ``getattr`` when capture is off.  ``meta`` optionally carries the
-    resolved op parameters for the tape optimizer.
+    resolved op parameters for the tape optimizer; a per-device
+    kernel passes its output ``spec`` so the instruction carries the
+    device axes its output is replicated on.
     """
     recorder = getattr(mesh, "capture", None)
     if recorder is not None:
         recorder.record(fn, inputs, output, label, collective=collective,
-                        arena=arena, meta=meta)
+                        arena=arena, meta=meta,
+                        replicated=mesh.replicated_axes(spec)
+                        if spec is not None else ())
 
 
 def _require_suffix(dim_axes: tuple[str, ...], axes: Sequence[str],
@@ -506,7 +511,7 @@ def sharded_einsum(subscripts: str, a: ShardedTensor, b: ShardedTensor
     _capture(mesh, replay, (a.shards, b.shards), out.shards,
              f"einsum:{subscripts}", collective=False, arena=arena,
              meta=("einsum",) + _parse_subscripts(subscripts)
-             if a.is_stacked and b.is_stacked else None)
+             if a.is_stacked and b.is_stacked else None, spec=out_spec)
     return out
 
 

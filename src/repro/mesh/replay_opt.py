@@ -19,12 +19,20 @@ fatter calls while provably preserving every output bit:
   them per step (:func:`repro.model.rope.rope_tables`) and the rotations
   switch to :func:`repro.model.rope.apply_rope_cached`, which runs the
   identical multiply/add sequence on the identical tables.
+* **Replica dedup** — a per-device kernel whose output sharding leaves
+  device axes unused computes the same shard on every device along
+  them (the head-sharded multiquery attention along ``x``, Figure 4b;
+  the LM head on every chip).  The kernel runs once, on the ``[0:1]``
+  slice of its operands along those axes, and one broadcast writes
+  that replica into its full output buffer.  The axes come from the
+  output's ``ShardSpec`` at record time, never from the values.
 * **Flat multiquery attention** — the stacked decode attention
   broadcast-materializes the shared KV head across the query-head
-  groups; for the captured single-query multiquery case the same sums
-  are computed directly from the unexpanded ``[B, M, D]`` K/V via a
-  3-operand-subscript einsum, skipping the broadcast copy and the
-  (provably all-True) mask branch.
+  groups; for the captured multiquery case (one KV head per device)
+  the same sums are computed directly from the unexpanded ``[B, M, D]``
+  K/V via a 3-operand-subscript einsum, skipping the broadcast copy and
+  the mask construction (single-query decode: the provably all-True
+  mask branch).
 * **Prebound collectives** — recorded collective closures re-resolve
   their ``_axes_meta`` per call; :func:`repro.mesh.stacked.
   prebind_collective` swaps in a closure with the metadata resolved
@@ -56,23 +64,26 @@ except ImportError:  # pragma: no cover - older numpy layouts
 
 
 def optimize_tape(recorder, instrs, const, out_vids):
-    """Rewrite the post-folding instruction list; returns the new list.
+    """Rewrite the post-folding instruction list.
 
-    ``recorder`` supplies the captured values (for shapes and weight
-    constants) and grows its value table for newly created constants and
+    Returns ``(instrs, deduped)``: the new list and how many recorded
+    kernels the replica pass moved onto one replica.  ``recorder``
+    supplies the captured values (for shapes and weight constants) and
+    grows its value table for newly created constants and
     intermediates; ``const`` is extended in place for new constants.
     """
     instrs, view_map = _fuse_projection_einsums(recorder, instrs, const,
                                                 out_vids)
     instrs = _cse_rope_tables(recorder, instrs, const)
     instrs = _merge_rope_slabs(recorder, instrs, view_map)
+    instrs, deduped = _dedup_replicas(recorder, instrs, const)
     instrs = _flatten_attention(recorder, instrs)
     instrs = _prebind_einsums(recorder, instrs)
     instrs = _inplace_rope(recorder, instrs, out_vids)
     instrs = _inplace_elementwise(recorder, instrs, out_vids)
     instrs = _prebind_collectives(recorder, instrs, out_vids)
     instrs = _eliminate_dead(instrs, out_vids)
-    return instrs
+    return instrs, deduped
 
 
 def _add_value(recorder, value, const=None):
@@ -81,6 +92,128 @@ def _add_value(recorder, value, const=None):
     if const is not None:
         const.add(vid)
     return vid
+
+
+# ---------------------------------------------------------------------------
+# Replica dedup
+# ---------------------------------------------------------------------------
+
+def _stacked_operands(ins) -> tuple[int, ...] | None:
+    """Operand positions holding dense mesh-stacked shards when ``ins``
+    is a per-device kernel the pass may run on one replica, else None.
+
+    Only the stacked kernels the optimizer already recognizes qualify;
+    collectives, cache operations, layout conversions and anything
+    recorded without a spec never do.
+    """
+    from repro.model import functional
+
+    if ins.out is None or ins.collective or not ins.replicated:
+        return None
+    kind = ins.meta[0] if ins.meta is not None else None
+    n = len(ins.inputs)
+    if (kind == "einsum" or ins.label.startswith("einsum_fused")) \
+            and n == 2:
+        return (0, 1)
+    if kind in ("attention", "rmsnorm") and n == 3:
+        return (0, 1, 2)
+    if (kind == "rope" or ins.label == "rope_cached") and n == 2:
+        return (1,)  # operand 0 is the positions vector / rope tables
+    if ins.fn is functional.swish and n == 1:
+        return (0,)
+    if ins.fn is np.multiply and n == 2:
+        return (0, 1)
+    return None
+
+
+def _common_axes(instrs) -> tuple[int, ...]:
+    """Device axes every one of ``instrs`` is replicated on (the axes a
+    fused instruction computing all their outputs is replicated on)."""
+    common = None
+    for ins in instrs:
+        axes = set(ins.replicated)
+        common = axes if common is None else common & axes
+    return tuple(sorted(common or ()))
+
+
+def _replica_slicer(index: tuple):
+    def view(a):
+        return a[index]
+    view.const_view = True
+    return view
+
+
+def _replica_broadcaster(shape: tuple, dtype):
+    def run(one, out=None):
+        if out is None:  # a program output: freshly allocated
+            out = np.empty(shape, dtype)
+        np.copyto(out, one)
+        return out
+    return run
+
+
+def _dedup_replicas(recorder, instrs, const):
+    """Run every replicated per-device kernel on one replica.
+
+    A kernel whose output sharding leaves device axes unused holds the
+    same shard on every device along them (the spec says so; the
+    recorder passed those axes from it, never from comparing values).
+    The kernel is rewritten to run on the ``[0:1]`` slice of its
+    operands along those axes, and one broadcast instruction writes that
+    replica into the kernel's full-shape output, so every consumer
+    still reads the buffer it read before.  A consumer deduped on the
+    same axes reads the one-replica result directly (the broadcast then
+    dies if nothing else reads it).  Bit-exact: each device's kernel is
+    independent of the device axes — the batched form computes every
+    device's shard with the same loop it uses for one device — so the
+    slice computes replica 0's bits, and the spec asserts every replica
+    holds exactly those (``to_global`` verifies it eagerly).
+    Returns ``(instrs, deduped)``.
+    """
+    from repro.mesh.capture import _Instr
+
+    values = recorder._values
+    one: dict[int, tuple[int, tuple]] = {}  # full vid -> (one vid, axes)
+    sliced: dict[tuple, int] = {}            # (vid, axes) -> slice vid
+    rewritten = []
+    deduped = 0
+    for ins in instrs:
+        operands = _stacked_operands(ins)
+        if operands is None:
+            rewritten.append(ins)
+            continue
+        axes = ins.replicated
+        index = tuple(slice(0, 1) if i in axes else slice(None)
+                      for i in range(3))
+        inputs = list(ins.inputs)
+        for pos in operands:
+            vid = inputs[pos]
+            forwarded = one.get(vid)
+            if forwarded is not None and forwarded[1] == axes:
+                inputs[pos] = forwarded[0]
+                continue
+            key = (vid, axes)
+            if key not in sliced:
+                if vid in const:
+                    sliced[key] = _add_value(
+                        recorder, np.ascontiguousarray(values[vid][index]),
+                        const)
+                else:
+                    sliced[key] = _add_value(recorder, values[vid][index])
+                    rewritten.append(_Instr(_replica_slicer(index), (vid,),
+                                            sliced[key], "replica_slice",
+                                            False, False))
+            inputs[pos] = sliced[key]
+        full = values[ins.out]
+        one_vid = _add_value(recorder, np.ascontiguousarray(full[index]))
+        rewritten.append(_Instr(ins.fn, tuple(inputs), one_vid, ins.label,
+                                False, ins.arena, ins.meta))
+        rewritten.append(_Instr(_replica_broadcaster(full.shape, full.dtype),
+                                (one_vid,), ins.out, "replica_broadcast",
+                                False, True, replicated=axes))
+        one[ins.out] = (one_vid, axes)
+        deduped += 1
+    return rewritten, deduped
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +349,8 @@ def _fuse_projection_einsums(recorder, instrs, const, out_vids):
         fused_vid = _add_value(recorder, fused_captured)
         fused = _Instr(_fused_einsum(recorder.mesh, lhs, c + z, f + z),
                        (x_vid, w_vid), fused_vid,
-                       f"einsum_fused:x{len(group)}", False, True)
+                       f"einsum_fused:x{len(group)}", False, True,
+                       replicated=_common_axes(instrs[i] for i in group))
         start = 0
         for j, i in enumerate(group):
             width = flat_outs[j].shape[-1]
@@ -277,7 +411,8 @@ def _cse_rope_tables(recorder, instrs, const):
         for i in members:
             ins = instrs[i]
             rewrites[i] = _Instr(_rope_cached, (tab_vid, ins.inputs[1]),
-                                 ins.out, "rope_cached", False, False)
+                                 ins.out, "rope_cached", False, False,
+                                 replicated=ins.replicated)
 
     if not rewrites:
         return instrs
@@ -362,7 +497,8 @@ def _merge_rope_slabs(recorder, instrs, view_map):
                           (fused_vid,), slab_vid, "rope_slab",
                           False, False)
             rope = _Instr(_rope_cached, (tab_vid, slab_vid), roped_vid,
-                          "rope_cached", False, False)
+                          "rope_cached", False, False,
+                          replicated=_common_axes(instrs[i] for i in run))
             row = 0
             for j, i in enumerate(run):
                 h = view_map[instrs[i].inputs[1]][3][-2]
@@ -485,6 +621,8 @@ def _flat_mq_prefill_attention(out_shape, dtype):
 
 
 def _flatten_attention(recorder, instrs):
+    """Stacked attention over one KV head per device (any number of
+    query heads per device) becomes a flat runner."""
     from repro.mesh.capture import _Instr
 
     values = recorder._values
@@ -494,8 +632,7 @@ def _flatten_attention(recorder, instrs):
                 and ins.out is not None and len(ins.inputs) == 3):
             qs = values[ins.inputs[0]]
             ks = values[ins.inputs[1]]
-            if (qs.ndim == 7 and ks.ndim == 7 and ks.shape[5] == 1
-                    and qs.shape[5] > 1):
+            if qs.ndim == 7 and ks.ndim == 7 and ks.shape[5] == 1:
                 captured = values[ins.out]
                 if qs.shape[4] == 1:
                     fn = _flat_mq_attention(captured.shape, captured.dtype)

@@ -29,34 +29,74 @@ from repro.mesh.virtual_mesh import VirtualMesh
 from repro.sharding.spec import ShardingError, ShardSpec, parse
 
 
-def _record(mesh, fn, inputs, output, label, *, arena: bool = False) -> None:
-    """Capture-recorder hook (duck-typed; see :mod:`repro.mesh.capture`)."""
+def _record(mesh, fn, inputs, output, label, *, arena: bool = False,
+            spec: ShardSpec | None = None) -> None:
+    """Capture-recorder hook (duck-typed; see :mod:`repro.mesh.capture`).
+
+    A per-device kernel passes its output ``spec``: the instruction then
+    carries the device axes its output is replicated on."""
     recorder = getattr(mesh, "capture", None)
     if recorder is not None:
-        recorder.record(fn, inputs, output, label, arena=arena)
+        recorder.record(fn, inputs, output, label, arena=arena,
+                        replicated=mesh.replicated_axes(spec)
+                        if spec is not None else ())
+
+
+def check_replicas(mesh: VirtualMesh, spec: ShardSpec,
+                   shards: np.ndarray) -> None:
+    """Raise ``ShardingError`` unless every replica matches its first copy.
+
+    Devices that differ only along axes ``spec`` neither shards nor
+    partial-sums must hold identical shards (NaNs compare equal) — the
+    key consistency invariant of SPMD layouts.  This is the one check
+    :meth:`ShardedTensor.to_global` and the same-layout KV-cache moves
+    (:mod:`repro.layouts.kv_cache`) run, on either shard
+    representation.
+    """
+    if shards.dtype != object:
+        axes = mesh.replicated_axes(spec)
+        if not axes:
+            return
+        reference = shards[tuple(slice(0, 1) if i in axes
+                                 else slice(None) for i in range(3))]
+        equal = shards == reference
+        if equal.all():
+            return
+        if shards.dtype.kind in "fc":
+            equal |= np.isnan(shards) & np.isnan(reference)
+        if not equal.all():
+            raise ShardingError(
+                f"replicas disagree for spec {spec} on mesh {mesh.shape}")
+        return
+    seen: dict[tuple, np.ndarray] = {}
+    for coord in mesh.devices():
+        pos = tuple(mesh.rank_in_group(coord, axes) for axes in spec.axes)
+        psum_rank = mesh.rank_in_group(coord, spec.partial_sum)
+        key = pos + (psum_rank,)
+        first = seen.setdefault(key, shards[coord])
+        if first is not shards[coord] and not np.array_equal(
+                first, shards[coord], equal_nan=True):
+            raise ShardingError(
+                f"replicas disagree at shard position {pos} "
+                f"(partial-sum rank {psum_rank}) for spec {spec}")
 
 
 def _loop_to_global(mesh: VirtualMesh, spec: ShardSpec,
-                    global_shape: tuple[int, ...], shards_in: np.ndarray,
-                    check_replication: bool) -> np.ndarray:
+                    global_shape: tuple[int, ...],
+                    shards_in: np.ndarray) -> np.ndarray:
     """Loop-backend global reassembly (see :meth:`ShardedTensor.to_global`)."""
     local = spec.local_shape(global_shape, mesh.topology)
     # Representative shard (or running partial sum) per shard position.
     accum: dict[tuple, np.ndarray] = {}
-    seen: dict[tuple, np.ndarray] = {}
+    seen: set[tuple] = set()
     for coord in mesh.devices():
         pos = tuple(mesh.rank_in_group(coord, axes) for axes in spec.axes)
         psum_rank = mesh.rank_in_group(coord, spec.partial_sum)
         key = pos + (psum_rank,)
         shard = shards_in[coord]
         if key in seen:
-            if check_replication and not np.array_equal(seen[key], shard,
-                                                        equal_nan=True):
-                raise ShardingError(
-                    f"replicas disagree at shard position {pos} "
-                    f"(partial-sum rank {psum_rank}) for spec {spec}")
             continue
-        seen[key] = shard
+        seen.add(key)
         if pos in accum:
             accum[pos] = accum[pos] + shard
         else:
@@ -153,17 +193,14 @@ class ShardedTensor:
         """
         mesh, spec = self.mesh, self.spec
         gshape = self.global_shape
-        if self.is_stacked:
-            out = stacked_kernels.to_global(mesh, spec, gshape, self.shards,
-                                            check_replication)
-            kernel = stacked_kernels.to_global
-        else:
-            out = _loop_to_global(mesh, spec, gshape, self.shards,
-                                  check_replication)
-            kernel = _loop_to_global
+        if check_replication:
+            check_replicas(mesh, spec, self.shards)
+        kernel = stacked_kernels.to_global if self.is_stacked \
+            else _loop_to_global
+        out = kernel(mesh, spec, gshape, self.shards)
         # Replay skips the replication check: the captured step already
         # verified it, and replay reproduces the same bits by contract.
-        _record(mesh, lambda s: kernel(mesh, spec, gshape, s, False),
+        _record(mesh, lambda s: kernel(mesh, spec, gshape, s),
                 (self.shards,), out, f"to_global:{spec}")
         return out
 
@@ -201,8 +238,10 @@ class ShardedTensor:
             shards = mesh.map_devices(lambda c: fn(self.shards[c]))
             replay = lambda s: mesh.map_devices(  # noqa: E731
                 lambda c: fn(s[c]))
-        _record(mesh, replay, (self.shards,), shards, "map_shards")
-        return ShardedTensor(mesh, spec or self.spec,
+        out_spec = spec or self.spec
+        _record(mesh, replay, (self.shards,), shards, "map_shards",
+                spec=out_spec)
+        return ShardedTensor(mesh, out_spec,
                              global_shape or self.global_shape, shards)
 
     def astype(self, dtype) -> "ShardedTensor":
@@ -218,7 +257,8 @@ class ShardedTensor:
         if self.is_stacked and other.is_stacked:
             shards = self.shards + other.shards
             _record(mesh, lambda x, y, out=None: np.add(x, y, out=out),
-                    (self.shards, other.shards), shards, "add", arena=True)
+                    (self.shards, other.shards), shards, "add", arena=True,
+                    spec=self.spec)
         else:
             shards = mesh.map_devices(
                 lambda c: self.shards[c] + other.shards[c])

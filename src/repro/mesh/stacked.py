@@ -488,34 +488,25 @@ def from_global(mesh, array: np.ndarray, spec,
     return np.ascontiguousarray(arr)
 
 
-def to_global(mesh, spec, global_shape: Sequence[int], shards: np.ndarray,
-              check_replication: bool = True) -> np.ndarray:
+@lru_cache(maxsize=None)
+def replica_axes(spec) -> tuple[int, ...]:
+    """Device-axis indices ``spec`` neither shards nor partial-sums."""
+    used = set(spec.mesh_axes_used)
+    return tuple(i for i, a in enumerate(AXIS_NAMES) if a not in used)
+
+
+def to_global(mesh, spec, global_shape: Sequence[int],
+              shards: np.ndarray) -> np.ndarray:
     """Reassemble the global array from a dense stacked representation.
 
-    Mirrors the loop backend exactly: replicas are checked for equality
-    against the first-seen (all-zero replica coordinate) copy, partial
-    sums accumulate sequentially in row-major device order, and sharded
-    dims are reassembled by inverting :func:`from_global`.
+    Mirrors the loop backend exactly: the first-seen (all-zero replica
+    coordinate) copy is kept, partial sums accumulate sequentially in
+    row-major device order, and sharded dims are reassembled by
+    inverting :func:`from_global`.  Replicas are not compared here —
+    :func:`repro.mesh.sharded_tensor.check_replicas` does that.
     """
-    from repro.sharding.spec import ShardingError
-
-    shard_axes = {a for group in spec.axes for a in group}
     psum_axes = set(spec.partial_sum)
-    rep_idx = [i for i, a in enumerate(AXIS_NAMES)
-               if a not in shard_axes and a not in psum_axes]
-
-    if check_replication and any(mesh.shape[i] > 1 for i in rep_idx):
-        ref_index = tuple(0 if i in rep_idx else slice(None)
-                          for i in range(3))
-        reference = shards[ref_index]
-        for i in rep_idx:
-            reference = np.expand_dims(reference, i)
-        equal = shards == reference
-        if shards.dtype.kind in "fc":
-            equal = equal | (np.isnan(shards) & np.isnan(reference))
-        if not equal.all():
-            raise ShardingError(
-                f"replicas disagree for spec {spec} on mesh {mesh.shape}")
+    rep_idx = replica_axes(spec)
 
     # Keep the first-seen replica, then sum partial axes sequentially in
     # row-major device order: flattening the partial axes (ascending

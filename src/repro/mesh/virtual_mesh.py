@@ -133,6 +133,15 @@ class VirtualMesh:
     def axis_indices(self, axes: Sequence[str]) -> tuple[int, ...]:
         return tuple(AXIS_NAMES.index(a) for a in axes)
 
+    def replicated_axes(self, spec) -> tuple[int, ...]:
+        """Device axes (indices into ``shape``) holding identical copies
+        of a tensor with sharding ``spec``: every axis of size > 1 the
+        spec neither shards nor partial-sums.  A pure function of the
+        spec and the mesh shape — never of the tensor's values."""
+        from repro.mesh.stacked import replica_axes
+
+        return tuple(i for i in replica_axes(spec) if self.shape[i] > 1)
+
     def empty_shards(self) -> np.ndarray:
         """An uninitialized object array with one slot per device."""
         return np.empty(self.shape, dtype=object)

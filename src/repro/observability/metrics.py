@@ -281,11 +281,13 @@ def format_capture_stats(stats: dict) -> str:
     ``degraded``, ... — the :meth:`CapturedProgram.mismatch` reasons and
     ``explicit`` for :meth:`StepCompiler.invalidate` calls).  The
     constant rows show the programs' referenced constant bytes against
-    the pooled (distinct) bytes actually held.
+    the pooled (distinct) bytes actually held; ``deduped_instructions``
+    counts the kernels the cached programs run on one replica.
     """
     lines = ["Step-compiler program cache",
              f"{'counter':>18s} {'value':>10s}"]
-    for key in ("programs", "optimized_programs", "eager_steps",
+    for key in ("programs", "optimized_programs",
+                "deduped_instructions", "eager_steps",
                 "captures", "replays", "hits", "misses", "evictions",
                 "invalidations", "const_bytes", "const_unique_bytes"):
         lines.append(f"{key:>18s} {stats.get(key, 0):>10d}")

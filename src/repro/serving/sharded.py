@@ -23,11 +23,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.layouts.kv_cache import ShardedKVCache
+from repro.layouts.kv_cache import ShardedKVCache, same_layout
 from repro.layouts.model import ShardedTransformer
 from repro.model.sampling import greedy
 from repro.serving.engine import Completion, Request
 from repro.serving.scheduler import group_requests
+from repro.sharding.spec import parse
 
 
 def merge_sharded_caches(per_request: Sequence[Sequence[ShardedKVCache]],
@@ -38,7 +39,12 @@ def merge_sharded_caches(per_request: Sequence[Sequence[ShardedKVCache]],
     The merge is host-mediated (one KV-sized copy per request), matching
     the prefill-server -> decode-server hand-off the paper describes.
     All caches must have equal length (the scheduler groups by prompt
-    length).
+    length).  When every cache already has the decode layout
+    (:func:`same_layout`), a single request's caches on the decode
+    model's own mesh are adopted as they are, and several requests
+    copy shard to shard into batch rows (batch must be unsharded);
+    otherwise the history goes through global form.  Every path checks
+    that replicas agree.
     """
     if not per_request:
         raise ValueError("cannot merge an empty list of request caches")
@@ -46,35 +52,41 @@ def merge_sharded_caches(per_request: Sequence[Sequence[ShardedKVCache]],
     if len(lengths) != 1:
         raise ValueError(f"cannot merge caches of different lengths "
                          f"{sorted(lengths)}; group requests by length")
-    length = lengths.pop()
     batch = sum(caches[0].global_shape[0] for caches in per_request)
     cfg = decode_model.config
-    merged = []
-    n_layers = len(per_request[0])
+    mesh = decode_model.mesh
+    spec = parse(decode_model.cache_spec())
+    arena = getattr(decode_model, "kv_arena", None)
+    direct = all(same_layout(cache, mesh, spec)
+                 for caches in per_request for cache in caches)
+    if direct and len(per_request) == 1 \
+            and all(cache.mesh is mesh for cache in per_request[0]):
+        for cache in per_request[0]:
+            cache.check_replicas()
+        return list(per_request[0])
     # The cache records its element dtype; probing a shard would depend
     # on the backend's storage layout (object array vs dense stack).
     dtype = per_request[0][0].dtype
-    for layer in range(n_layers):
-        k_parts, v_parts = [], []
-        for caches in per_request:
-            k_sh, v_sh = caches[layer].as_sharded()
-            k_parts.append(k_sh.to_global())
-            v_parts.append(v_sh.to_global())
-        k_global = np.concatenate(k_parts, axis=0)
-        v_global = np.concatenate(v_parts, axis=0)
-        cache = ShardedKVCache(decode_model.mesh,
-                               decode_model.cache_spec(), batch,
-                               caches[layer].max_len, cfg.n_kv_heads,
-                               cfg.d_head, dtype=dtype,
-                               arena=getattr(decode_model, "kv_arena",
-                                             None))
-        from repro.mesh import ShardedTensor
-
-        k_t = ShardedTensor.from_global(decode_model.mesh, k_global,
-                                        cache.spec)
-        v_t = ShardedTensor.from_global(decode_model.mesh, v_global,
-                                        cache.spec)
-        cache.load_prefix(k_t, v_t, length)
+    rows = direct and (len(per_request) == 1 or not spec.axes_for("B"))
+    checked: set[int] = set()  # padding repeats a request's caches
+    merged = []
+    for layer in range(len(per_request[0])):
+        sources = [caches[layer] for caches in per_request]
+        cache = ShardedKVCache(mesh, spec, batch, sources[-1].max_len,
+                               cfg.n_kv_heads, cfg.d_head, dtype=dtype,
+                               arena=arena)
+        if rows:
+            row = 0
+            for src in sources:
+                if id(src) not in checked:
+                    src.check_replicas()
+                    checked.add(id(src))
+                cache.copy_from(src, row)
+                row += src.global_shape[0]
+        else:
+            parts = [src.global_prefix() for src in sources]
+            cache.load_global(np.concatenate([k for k, _ in parts]),
+                              np.concatenate([v for _, v in parts]))
         merged.append(cache)
     return merged
 

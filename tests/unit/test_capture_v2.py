@@ -25,12 +25,14 @@ import pytest
 from repro.cluster import ClusterControlPlane, run_scenario
 from repro.events import EventLog
 from repro.layouts import ShardedTransformer
-from repro.mesh import BACKENDS, VirtualMesh
+from repro.mesh import BACKENDS, ShardedTensor, VirtualMesh
 from repro.layouts.kv_cache import layout_signature
 from repro.mesh.capture import (
     FUSE_ENV,
     StepCompiler,
     capture_decode_step,
+    capture_prefill_chunk,
+    capturing,
     fuse_window_from_env,
 )
 from repro.mesh.faults import CollectiveFault, CollectiveTimeout, FaultPlan
@@ -341,6 +343,164 @@ class TestOptimizedSingleStep:
         for row in ("optimized_programs", "const_bytes",
                     "const_unique_bytes"):
             assert row in table
+
+
+WIDE_CFG = tiny_test_config(n_layers=2, d_model=64, d_ff=128, n_heads=16,
+                            d_head=4, vocab_size=32)
+WIDE_WEIGHTS = init_weights(WIDE_CFG, seed=0)
+
+# (mesh shape, weights, plan, batch) for every plan the cluster runs on
+# the meshes the benchmark fleets use.  On 4x4x4 the selector's balanced
+# pick is WS-2D/head (16 heads do not split 64 ways for WS-1D).
+DEDUP_CASES = {
+    "2x2x2-balanced": ((2, 2, 2), WEIGHTS, DECODE_PLANS["balanced"][0], 3),
+    "2x2x2-weight-gathered": ((2, 2, 2), WEIGHTS,
+                              DECODE_PLANS["weight-gathered"][0], 4),
+    "2x2x2-ws-2d": ((2, 2, 2), WEIGHTS, DECODE_PLANS["ws-2d"][0], 2),
+    "4x4x4-weight-gathered": ((4, 4, 4), WIDE_WEIGHTS,
+                              DECODE_PLANS["weight-gathered"][0], 4),
+    "4x4x4-ws-2d": ((4, 4, 4), WIDE_WEIGHTS, DECODE_PLANS["ws-2d"][0], 1),
+}
+
+
+def dedup_twin(case, backend="stacked", prompt=None):
+    """(model, caches) after an eager first chunk of ``prompt``."""
+    shape, weights, plan, batch = DEDUP_CASES[case]
+    model = ShardedTransformer(weights, VirtualMesh(shape, backend=backend),
+                               plan)
+    if prompt is None:
+        prompt = np.random.default_rng(9).integers(
+            0, weights.config.vocab_size, size=(batch, 16))
+    caches = model.new_cache(prompt.shape[0], 24)
+    model.forward(prompt[:, :4], caches)
+    return model, caches, prompt
+
+
+def broadcast_axes(program) -> set:
+    """Device axes the program's deduped kernels are broadcast along."""
+    return {ins.replicated for ins in program._instrs
+            if ins.label == "replica_broadcast"}
+
+
+class TestReplicaDedup:
+    """Stacked programs run chip-replicated kernels on one replica."""
+
+    @pytest.mark.parametrize("case", sorted(DEDUP_CASES))
+    def test_prefill_chunks_bit_identical(self, case):
+        eager_model, eager_caches, prompt = dedup_twin(case)
+        model, caches, _ = dedup_twin(case)
+        chunk = prompt[:, 4:8]
+        expect = eager_model.forward(chunk, eager_caches)
+        got, program = capture_prefill_chunk(model, chunk, caches)
+        assert np.array_equal(got, expect)
+        assert program.optimized and program.deduped > 0
+        for start in (8, 12):
+            chunk = prompt[:, start:start + 4]
+            expect = eager_model.forward(chunk, eager_caches)
+            assert np.array_equal(program.replay(chunk, caches), expect)
+        assert caches_equal(model.mesh, eager_caches, caches)
+
+    @pytest.mark.parametrize("case", sorted(DEDUP_CASES))
+    def test_decode_steps_bit_identical(self, case):
+        eager_model, eager_caches, prompt = dedup_twin(case)
+        model, caches, _ = dedup_twin(case)
+        program = assert_replays_like_eager(
+            eager_model, eager_caches, model, caches, prompt[:, 4])
+        assert program.optimized and program.deduped > 0
+
+    def test_counts_on_ws2d_and_loop(self):
+        model, caches, prompt = dedup_twin("4x4x4-ws-2d")
+        compiler = StepCompiler(warmup_steps=0)
+        compiler.decode_step(model, prompt[:, 4], caches)
+        stats = compiler.stats()
+        # Attention (replicated along x) in both layers, and the LM head
+        # (replicated on all 64 chips).
+        assert stats["deduped_instructions"] == 3
+        assert broadcast_axes(compiler.program) == {(0,), (0, 1, 2)}
+        assert "deduped_instructions" in format_capture_stats(stats)
+
+        model, caches, prompt = dedup_twin("2x2x2-ws-2d", backend="loop")
+        compiler = StepCompiler(warmup_steps=0)
+        compiler.decode_step(model, prompt[:, 4], caches)
+        assert compiler.program.deduped == 0
+        assert compiler.stats()["deduped_instructions"] == 0
+
+    def test_padded_duplicate_rows_not_deduped_on_batch_axes(self):
+        """Captured while every batch row is the same sequence (how a
+        group is padded to its batch divisor), the rows' shards are
+        equal along the batch axis; only the sharding spec may decide
+        replication, so that axis is never deduped and the program
+        stays exact once the rows diverge."""
+        row = np.random.default_rng(4).integers(0, CFG.vocab_size,
+                                                size=(1, 8))
+        padded = np.repeat(row, 4, axis=0)
+        eager_model, eager_caches, _ = dedup_twin(
+            "2x2x2-weight-gathered", prompt=padded)
+        model, caches, _ = dedup_twin("2x2x2-weight-gathered",
+                                      prompt=padded)
+        assert model.cache_spec() == "B_xMKD"
+        tok = padded[:, 4]
+        expect = eager_model.decode_step(tok, eager_caches)
+        got, program = capture_decode_step(model, tok, caches)
+        assert np.array_equal(got, expect)
+        assert program.deduped > 0
+        assert all(0 not in axes for axes in broadcast_axes(program))
+        diverged = np.arange(4) % CFG.vocab_size
+        for _ in range(3):
+            expect = eager_model.decode_step(diverged, eager_caches)
+            assert np.array_equal(program.replay(diverged, caches), expect)
+            assert len({tuple(r) for r in expect}) > 1
+            diverged = np.argmax(expect, -1)
+        assert caches_equal(model.mesh, eager_caches, caches)
+
+    def test_every_kernel_kind(self):
+        """Einsum, RMSNorm, RoPE, Swish and the gate product on a tensor
+        replicated along y and z each run on one replica."""
+        from repro.layouts.helpers import (
+            sharded_rmsnorm,
+            sharded_rope,
+            zip_shards,
+        )
+        from repro.mesh.ops import sharded_einsum
+        from repro.model.functional import swish
+
+        mesh = VirtualMesh((2, 2, 2), backend="stacked")
+        rng = np.random.default_rng(11)
+        scale = ShardedTensor.from_global(mesh, rng.normal(size=8), "E")
+        w = ShardedTensor.from_global(mesh, rng.normal(size=(8, 6)), "EF")
+        wq = ShardedTensor.from_global(mesh, rng.normal(size=(8, 2, 4)),
+                                       "EHD")
+        positions = np.arange(3) + 5
+
+        def step(x):
+            y = sharded_rmsnorm(x, scale)
+            h = sharded_einsum("ble,ef->blf", y, w)
+            g = h.map_shards(swish, elementwise=True)
+            h = zip_shards(h.spec, h.global_shape, np.multiply, g, h,
+                           elementwise=True)
+            q = sharded_rope(sharded_einsum("ble,ehd->blhd", y, wq),
+                             positions, 10_000.0)
+            return h, q
+
+        def activations():
+            return ShardedTensor.from_global(
+                mesh, rng.normal(size=(2, 3, 8)), "B_xLE")
+
+        x = activations()
+        with capturing(mesh) as recorder:
+            recorder.record(lambda ctx: ctx.tokens, (recorder.CTX,),
+                            x.shards, "input")
+            h, q = step(x)
+            program = recorder.finalize([h.shards, q.shards],
+                                        optimize=True)
+        assert program.deduped == 6  # norm, 2 einsums, swish, mul, rope
+        assert broadcast_axes(program) == {(1, 2)}
+        for _ in range(2):
+            x = activations()
+            h, q = step(x)
+            got_h, got_q = program.replay(tokens=x.shards)
+            assert np.array_equal(got_h, h.shards)
+            assert np.array_equal(got_q, q.shards)
 
 
 class TestFusedWindow:
