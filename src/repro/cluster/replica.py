@@ -40,15 +40,17 @@ from repro.mesh.capture import StepCompiler
 from repro.mesh.faults import FaultPlan
 from repro.model.sampling import greedy
 from repro.partitioning.degraded import (
+    build_deployment,
     migrate_caches,
     plan_batch_group,
     replan_after_failure,
     select_degraded_plan,
     select_prefill_profile_plan,
     select_profile_plan,
+    share_weights,
 )
 from repro.partitioning.selector import Phase
-from repro.serving.chunked import chunked_prefill, default_prefill_chunk
+from repro.serving.chunked import DEFAULT_PREFILL_CHUNK, chunked_prefill
 from repro.serving.engine import Completion
 from repro.serving.resilient import CostModel, ResilientRequest
 from repro.serving.sharded import merge_sharded_caches
@@ -72,9 +74,8 @@ class Replica:
                  costs: CostModel | None = None,
                  event_log: EventLog | None = None, tracer=None,
                  trace_mesh: bool = False, prompt_len_hint: int = 64,
-                 prefill_chunk: int | None | str = "auto",
                  kvstore_pages: int = 256):
-        from repro.layouts.model import ShardedTransformer
+        from repro.kvstore import KVBufferArena, KVStore
 
         self.name = name
         self.weights = weights
@@ -87,34 +88,12 @@ class Replica:
         self.full_chips = self.mesh.num_chips
         self.health = ReplicaHealth.HEALTHY
         self.busy_until_s = 0.0
-        # Chunked prefill is the default path (see serving.chunked);
-        # "auto" resolves the REPRO_PREFILL_* env knobs, None forces the
-        # legacy whole-prompt prefill, an int pins the chunk size.
-        self.prefill_chunk = (default_prefill_chunk()
-                              if prefill_chunk == "auto" else prefill_chunk)
-        # Decode-plan profile the autoscaler steers (see switch_profile):
-        # "balanced" is the selector's own pick.  The prefill profile is
-        # steered separately by the disaggregated prefill pool (see
-        # switch_prefill_profile / repro.cluster.disagg).
-        self.profile = "balanced"
-        self.prefill_profile = "balanced"
         self.prompt_len_hint = prompt_len_hint
-
-        config = weights.config
-        torus = Torus3D(*shape)
-        decode_plan = select_degraded_plan(
-            config, torus, Phase.DECODE, batch=decode_batch,
-            tokens_per_seq=1)
-        prefill_plan = select_degraded_plan(
-            config, torus, Phase.PREFILL, batch=1,
-            tokens_per_seq=prompt_len_hint)
-        self.decode_model = ShardedTransformer(weights, self.mesh,
-                                               decode_plan)
-        try:
-            self.prefill_model = self.decode_model.with_plan(prefill_plan)
-        except ValueError:
-            self.prefill_model = ShardedTransformer(weights, self.mesh,
-                                                    prefill_plan)
+        # The buffer arena recycles device-shaped KV buffers across cache
+        # lifetimes on both models (wired by ``deploy``).
+        self.kv_arena = KVBufferArena()
+        # Builds the models and starts both profiles at "balanced".
+        self.deploy()
         self.fault_state = None
         if fault_plan is not None:
             self.fault_state = self.mesh.install_faults(fault_plan,
@@ -132,15 +111,26 @@ class Replica:
         # Per-replica paged prefix cache (repro.kvstore).  Page size is
         # the prefill chunk so cached-prefix suffixes see the cold path's
         # exact chunk boundaries (the bit-identity contract); disabled
-        # when chunked prefill is off or ``kvstore_pages == 0``.  The
-        # buffer arena recycles device-shaped KV buffers across cache
-        # lifetimes on both models.
-        from repro.kvstore import KVBufferArena, KVStore
-
-        self.kv_arena = KVBufferArena()
-        self.kvstore = (KVStore(page_tokens=self.prefill_chunk,
+        # when ``kvstore_pages == 0``.
+        self.kvstore = (KVStore(page_tokens=DEFAULT_PREFILL_CHUNK,
                                 capacity_pages=kvstore_pages, name=name)
-                        if self.prefill_chunk and kvstore_pages else None)
+                        if kvstore_pages else None)
+
+    def deploy(self, decode_plan=None, prefill_plan=None) -> None:
+        """(Re)build both models on the current mesh.
+
+        :func:`~repro.partitioning.degraded.build_deployment` selects
+        the plans not given.  Both profiles reset to ``"balanced"``, the
+        selector's own pick: the autoscaler steers the decode profile
+        (:meth:`switch_profile`), the disaggregated prefill pool the
+        prefill one (:meth:`switch_prefill_profile`).
+        """
+        self.decode_model, self.prefill_model = build_deployment(
+            self.weights, self.mesh, decode_batch=self.decode_batch,
+            prompt_len=self.prompt_len_hint, decode_plan=decode_plan,
+            prefill_plan=prefill_plan)
+        self.profile = "balanced"
+        self.prefill_profile = "balanced"
         self._wire_kv()
 
     def _wire_kv(self) -> None:
@@ -226,22 +216,18 @@ class Replica:
     def replan_around(self, chips: Sequence[Coord]) -> None:
         """Rebuild this replica on its largest healthy sub-slice.
 
-        Mirrors the single-mesh resilient server: re-select layouts for
-        the shrunken torus, re-shard weights, rebase the unfired fault
-        schedule and carry the fault clock so later faults still land.
+        Re-select layouts for the shrunken torus, re-shard weights,
+        rebase the unfired fault schedule and carry the fault clock so
+        later faults still land.  Raises ``ValueError`` when no healthy
+        sub-slice supports the model.
         """
         deploy = replan_after_failure(
             self.weights, self.mesh, chips,
-            decode_batch=self.decode_batch, event_log=self.events)
+            decode_batch=self.decode_batch,
+            prompt_len=self.prompt_len_hint, event_log=self.events)
         if self.fault_state is not None:
-            remaining = self.fault_state.remaining_plan(
-                deploy.subslice.origin, deploy.subslice.shape)
-            new_state = deploy.mesh.install_faults(remaining, self.events)
-            new_state.step = self.fault_state.step
-            new_state.phase = self.fault_state.phase
-            new_state.phase_steps = dict(self.fault_state.phase_steps)
-            new_state.sim_delay_s = self.fault_state.sim_delay_s
-            self.fault_state = new_state
+            self.fault_state = self.fault_state.carry_to(
+                deploy.mesh, deploy.subslice.origin)
         if self.tracer is not None and self.trace_mesh:
             deploy.mesh.tracer = self.tracer
         self.mesh = deploy.mesh
@@ -271,31 +257,11 @@ class Replica:
         invalidated (the next decode step re-captures).  The control
         plane charges the corresponding downtime either way.
         """
-        from repro.layouts.model import ShardedTransformer
-
         if mode not in ("cold", "warm"):
             raise ValueError(
                 f"restart mode must be 'cold' or 'warm', got {mode!r}")
         if mode == "cold":
-            config = self.weights.config
-            torus = Torus3D(*self.mesh.shape)
-            decode_plan = select_degraded_plan(
-                config, torus, Phase.DECODE, batch=self.decode_batch,
-                tokens_per_seq=1)
-            prefill_plan = select_degraded_plan(
-                config, torus, Phase.PREFILL, batch=1,
-                tokens_per_seq=self.prompt_len_hint)
-            self.decode_model = ShardedTransformer(self.weights,
-                                                   self.mesh, decode_plan)
-            try:
-                self.prefill_model = self.decode_model.with_plan(
-                    prefill_plan)
-            except ValueError:
-                self.prefill_model = ShardedTransformer(
-                    self.weights, self.mesh, prefill_plan)
-            self.profile = "balanced"
-            self.prefill_profile = "balanced"
-            self._wire_kv()
+            self.deploy()
         self.step_compiler.invalidate()
         # Process death loses the host-resident page store either way:
         # a cold restart rebuilt the models, and even a warm rejoin
@@ -319,8 +285,6 @@ class Replica:
         with no valid plan on the current (possibly degraded) slice is
         refused without changing anything.
         """
-        from repro.layouts.model import ShardedTransformer
-
         if profile not in ("balanced", "weight-stationary",
                            "weight-gathered"):
             raise ValueError(f"unknown decode profile {profile!r}")
@@ -343,11 +307,7 @@ class Replica:
         if plan == old_plan:
             self.profile = profile
             return False
-        try:
-            self.decode_model = self.decode_model.with_plan(plan)
-        except ValueError:
-            self.decode_model = ShardedTransformer(self.weights,
-                                                   self.mesh, plan)
+        self.decode_model = share_weights(self.decode_model, plan)
         self.step_compiler.invalidate()
         # Pages store KV in global form, so the prefix cache survives a
         # layout switch: install broadcasts a page into a replicated
@@ -378,8 +338,6 @@ class Replica:
         invalidated.  Returns ``True`` when the plan actually changed; a
         profile with no valid plan on the current slice is refused.
         """
-        from repro.layouts.model import ShardedTransformer
-
         if profile not in ("balanced", "weight-stationary",
                            "weight-gathered"):
             raise ValueError(f"unknown prefill profile {profile!r}")
@@ -402,11 +360,7 @@ class Replica:
         if plan == old_plan:
             self.prefill_profile = profile
             return False
-        try:
-            self.prefill_model = self.decode_model.with_plan(plan)
-        except ValueError:
-            self.prefill_model = ShardedTransformer(self.weights,
-                                                    self.mesh, plan)
+        self.prefill_model = share_weights(self.decode_model, plan)
         self._wire_kv()
         self.prefill_profile = profile
         self.events.record(
@@ -455,6 +409,7 @@ class GroupRun:
         self.n_steps = max(r.max_new_tokens for r in self.group)
         self.steps_done = 0
         self.caches = None
+        self.prefill_s = 0.0
         self.current = None
         self.generated: list[np.ndarray] = []
         self._delay_before = 0.0
@@ -473,36 +428,35 @@ class GroupRun:
         return max(self.n_steps - 1 - self.steps_done, 0)
 
     def run_prefill(self) -> float:
-        """Prefill every request and merge the decode batch."""
+        """Prefill every request and merge the decode batch.
+
+        Returns the simulated cost; :attr:`prefill_s` holds the charges
+        of the requests already prefilled when a fault cuts it short.
+        """
         replica = self.replica
         max_len = len(self.group[0].prompt) + self.n_steps
         caches_per_request, first_logits = [], []
-        elapsed = 0.0
-        chunk = replica.prefill_chunk
+        self.prefill_s = 0.0
         kvstore = replica.kvstore
         for request in self.group:
             before = replica.delay_s()
             replica.advance("prefill")
+            # Chunked prefill through the program cache — same-length
+            # chunks replay across prompts — and, when the replica
+            # carries a prefix store, through the paged cache: only the
+            # uncached suffix is computed, and the prefill cost shrinks
+            # by the same fraction.
+            logits, caches = chunked_prefill(
+                replica.prefill_model, request.prompt[None, :],
+                DEFAULT_PREFILL_CHUNK, max_len,
+                compiler=replica.step_compiler, kvstore=kvstore)
             computed_frac = 1.0
-            if chunk:
-                # Default path: chunked prefill through the program
-                # cache — same-length chunks replay across prompts —
-                # and, when the replica carries a prefix store, through
-                # the paged cache: only the uncached suffix is computed,
-                # and the prefill cost shrinks by the same fraction.
-                logits, caches = chunked_prefill(
-                    replica.prefill_model, request.prompt[None, :],
-                    chunk, max_len, compiler=replica.step_compiler,
-                    kvstore=kvstore)
-                if kvstore is not None:
-                    reuse = kvstore.take_last_reuse()
-                    if reuse is not None and reuse.lease is not None:
-                        self.leases.append(reuse.lease)
-                        computed_frac = reuse.computed_fraction
-            else:
-                logits, caches = replica.prefill_model.prefill(
-                    request.prompt[None, :], max_len)
-            elapsed += replica.costs.prefill_cost_s(
+            if kvstore is not None:
+                reuse = kvstore.take_last_reuse()
+                if reuse is not None and reuse.lease is not None:
+                    self.leases.append(reuse.lease)
+                    computed_frac = reuse.computed_fraction
+            self.prefill_s += replica.costs.prefill_cost_s(
                 replica.prefill_profile) * replica.scale \
                 * computed_frac + (replica.delay_s() - before)
             caches_per_request.append(caches)
@@ -521,7 +475,7 @@ class GroupRun:
                                            replica.decode_model)
         self.current = greedy(np.concatenate(first_logits, axis=0))
         self.generated = [self.current[:, None]]
-        return elapsed
+        return self.prefill_s
 
     def decode_step(self) -> float:
         """One batched decode step; returns its simulated cost."""

@@ -105,7 +105,6 @@ Interplay with the rest of the stack:
 from __future__ import annotations
 
 import hashlib
-import os
 import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -208,18 +207,6 @@ def bucket_batch(n: int, bucket: int) -> int:
     if bucket <= 1:
         return n
     return ((n + bucket - 1) // bucket) * bucket
-
-
-FUSE_ENV = "REPRO_CAPTURE_FUSE"
-
-
-def fuse_window_from_env(default: int = 1) -> int:
-    """Fusion window from the ``REPRO_CAPTURE_FUSE`` env knob (>= 1)."""
-    raw = os.environ.get(FUSE_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return max(1, default)
 
 
 def _compile_ops(ops, template, out_vids):
@@ -793,12 +780,10 @@ class StepCompiler:
     """
 
     def __init__(self, warmup_steps: int = 1, *, batch_bucket: int = 1,
-                 max_programs: int = 8, fuse_window: int | None = None):
+                 max_programs: int = 8):
         self.warmup_steps = warmup_steps
         self.batch_bucket = max(1, batch_bucket)
         self.max_programs = max(1, max_programs)
-        self.fuse_window = (fuse_window_from_env() if fuse_window is None
-                            else max(1, fuse_window))
         self.eager_steps = 0
         self.captures = 0
         self.replays = 0
@@ -952,8 +937,7 @@ class StepCompiler:
         return model.decode_step(tokens, caches)
 
     def decode_window(self, model, tokens: np.ndarray, caches: Sequence,
-                      *, window: int | None = None,
-                      advance=None) -> np.ndarray:
+                      *, window: int, advance=None) -> np.ndarray:
         """Decode up to ``window`` fused steps; returns ``[w, B]`` tokens.
 
         ``advance`` (optional) is called once per executed sub-step
@@ -966,7 +950,7 @@ class StepCompiler:
         window boundaries land on the eager/single-step machinery
         unchanged.
         """
-        w = self.fuse_window if window is None else max(1, window)
+        w = max(1, window)
         if caches:
             room = min(c.room for c in caches)
             w = max(1, min(w, room))  # window boundary: fall to 1 step

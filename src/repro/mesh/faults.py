@@ -450,6 +450,22 @@ class FaultState:
                 kept.append(replace(fault, chip=shift(fault.chip)))
         return FaultPlan(faults=tuple(kept), seed=self.plan.seed)
 
+    def carry_to(self, mesh, origin: Coord) -> "FaultState":
+        """Install the unfired plan on ``mesh``, a sub-slice at ``origin``.
+
+        The replanning hand-off: the new state gets :meth:`remaining_plan`
+        and this state's clock (``step``, ``phase``, ``phase_steps``) and
+        accumulated straggler delay, so later-scheduled faults still
+        fire at their intended step.  Returns the installed state.
+        """
+        state = mesh.install_faults(self.remaining_plan(origin, mesh.shape),
+                                    self.events)
+        state.step = self.step
+        state.phase = self.phase
+        state.phase_steps = dict(self.phase_steps)
+        state.sim_delay_s = self.sim_delay_s
+        return state
+
 
 # ---------------------------------------------------------------------------
 # Mesh integration

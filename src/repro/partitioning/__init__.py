@@ -11,6 +11,7 @@ from repro.partitioning.plan import (
 from repro.partitioning.degraded import (
     DegradedDeployment,
     SubSlice,
+    build_deployment,
     healthy_subslices,
     largest_healthy_subslice,
     migrate_caches,
@@ -28,6 +29,7 @@ __all__ = [
     "PREFILL_PLAN_LARGE_BATCH",
     "PREFILL_PLAN_SMALL_BATCH",
     "SubSlice",
+    "build_deployment",
     "healthy_subslices",
     "largest_healthy_subslice",
     "migrate_caches",

@@ -259,6 +259,51 @@ class DegradedDeployment:
         return self.decode_model.plan
 
 
+def share_weights(model: ShardedTransformer,
+                  plan: LayoutPlan) -> ShardedTransformer:
+    """``model``'s weights under ``plan``, on the same mesh.
+
+    Shares weight storage via :meth:`ShardedTransformer.with_plan` when
+    the two plans store weights alike (Section 3.2.3: prefill with one
+    layout, decode with the other, no weight movement); otherwise
+    re-shards the host weights for ``plan``.
+    """
+    from repro.layouts.model import ShardedTransformer
+
+    try:
+        return model.with_plan(plan)
+    except ValueError:
+        return ShardedTransformer(model.weights, model.mesh, plan)
+
+
+def build_deployment(weights: TransformerWeights, mesh: VirtualMesh, *,
+                     decode_batch: int, prompt_len: int,
+                     decode_plan: LayoutPlan | None = None,
+                     prefill_plan: LayoutPlan | None = None
+                     ) -> tuple[ShardedTransformer, ShardedTransformer]:
+    """Shared-weight ``(decode_model, prefill_model)`` on ``mesh``.
+
+    Plans not given are chosen by :func:`select_degraded_plan` for the
+    mesh's torus: decode at ``decode_batch`` sequences of one token,
+    prefill one sequence of ``prompt_len`` tokens.  Raises
+    ``ValueError`` (``ShardingError`` included) when no valid plan or
+    sharding exists on this mesh.
+    """
+    from repro.layouts.model import ShardedTransformer
+
+    torus = Torus3D(*mesh.shape)
+    if decode_plan is None:
+        decode_plan = select_degraded_plan(
+            weights.config, torus, Phase.DECODE, batch=decode_batch,
+            tokens_per_seq=1)
+    if prefill_plan is None:
+        prefill_plan = select_degraded_plan(
+            weights.config, torus, Phase.PREFILL, batch=1,
+            tokens_per_seq=prompt_len)
+    decode_model = ShardedTransformer(weights, mesh, decode_plan)
+    return decode_model, share_weights(decode_model, prefill_plan)
+
+
 def replan_after_failure(weights: TransformerWeights, mesh: VirtualMesh,
                          dead_chips: Iterable[Coord], *,
                          decode_batch: int, prompt_len: int = 64,
@@ -270,36 +315,20 @@ def replan_after_failure(weights: TransformerWeights, mesh: VirtualMesh,
     Tries the healthy sub-slices largest-first; a sub-slice is skipped if
     no valid layout exists for it (e.g. the model's head count does not
     divide the shrunken head group).  Weight resharding is a host-side
-    re-scatter of the same ``TransformerWeights``; prefill and decode
-    share weight storage via :meth:`ShardedTransformer.with_plan`
-    whenever their storage layouts match, exactly as in the healthy
-    deployment.
+    re-scatter of the same ``TransformerWeights``; the models come from
+    :func:`build_deployment`, exactly as in the healthy deployment.
     """
-    from repro.layouts.model import ShardedTransformer
-
     dead = sorted(set(tuple(c) for c in dead_chips))
     if not dead:
         raise ValueError("replan_after_failure needs at least one dead chip")
     backend = backend or mesh.backend
-    config = weights.config
     last_error: Exception | None = None
     for subslice in healthy_subslices(mesh.shape, dead):
-        torus = Torus3D(*subslice.shape)
         try:
-            prefill_plan = select_degraded_plan(
-                config, torus, Phase.PREFILL, batch=1,
-                tokens_per_seq=prompt_len)
-            decode_plan = select_degraded_plan(
-                config, torus, Phase.DECODE, batch=decode_batch,
-                tokens_per_seq=1)
             new_mesh = VirtualMesh(subslice.shape, backend=backend)
-            decode_model = ShardedTransformer(weights, new_mesh,
-                                              decode_plan)
-            try:
-                prefill_model = decode_model.with_plan(prefill_plan)
-            except ValueError:
-                prefill_model = ShardedTransformer(weights, new_mesh,
-                                                   prefill_plan)
+            decode_model, prefill_model = build_deployment(
+                weights, new_mesh, decode_batch=decode_batch,
+                prompt_len=prompt_len)
         except ValueError as exc:  # includes ShardingError — try next slab
             last_error = exc
             continue
@@ -307,13 +336,13 @@ def replan_after_failure(weights: TransformerWeights, mesh: VirtualMesh,
             event_log.record(
                 REPLANNED, dead_chips=dead, old_shape=mesh.shape,
                 new_shape=subslice.shape, origin=subslice.origin,
-                prefill_plan=prefill_plan.describe(),
-                decode_plan=decode_plan.describe())
+                prefill_plan=prefill_model.plan.describe(),
+                decode_plan=decode_model.plan.describe())
         return DegradedDeployment(subslice, new_mesh, prefill_model,
                                   decode_model)
     raise ValueError(
-        f"no healthy sub-slice of {mesh.shape} supports {config.name} "
-        f"(dead: {dead})") from last_error
+        f"no healthy sub-slice of {mesh.shape} supports "
+        f"{weights.config.name} (dead: {dead})") from last_error
 
 
 def migrate_caches(caches: Sequence[ShardedKVCache],

@@ -10,40 +10,13 @@ adds the driver plus the analytical cost of a chunked schedule.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.partitioning.plan import LayoutPlan
 from repro.perf.estimator import InferenceEstimator, PhaseCost
 
-#: Escape hatch back to whole-prompt prefill (``whole``/``off``); the
-#: default is the chunked path everywhere a server admits prompts.
-PREFILL_MODE_ENV = "REPRO_PREFILL_MODE"
-#: Chunk size the default path uses (tokens per chunk).
-PREFILL_CHUNK_ENV = "REPRO_PREFILL_CHUNK"
+#: Chunk size every server admits prompts with (tokens per chunk).
 DEFAULT_PREFILL_CHUNK = 4
-
-
-def default_prefill_chunk() -> int | None:
-    """The serving layers' default prefill chunking, from the environment.
-
-    Returns the chunk size (chunked prefill is the default, per the
-    roadmap), or ``None`` when ``REPRO_PREFILL_MODE=whole`` asks for the
-    legacy single-pass prefill.  Both paths are bit-identical; the knob
-    exists for A/B comparison and for bisecting capture-cache behavior.
-    """
-    mode = os.environ.get(PREFILL_MODE_ENV, "chunked").strip().lower()
-    if mode in ("whole", "off"):
-        return None
-    if mode != "chunked":
-        raise ValueError(
-            f"{PREFILL_MODE_ENV} must be 'chunked' or 'whole', got "
-            f"{mode!r}")
-    chunk = int(os.environ.get(PREFILL_CHUNK_ENV, DEFAULT_PREFILL_CHUNK))
-    if chunk < 1:
-        raise ValueError(f"{PREFILL_CHUNK_ENV} must be >= 1, got {chunk}")
-    return chunk
 
 
 def chunked_prefill(model, tokens: np.ndarray, chunk_size: int,

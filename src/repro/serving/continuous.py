@@ -26,7 +26,7 @@ from repro.model.functional import masked_softmax, rmsnorm, swish
 from repro.model.reference import ReferenceTransformer
 from repro.model.rope import apply_rope
 from repro.model.sampling import greedy
-from repro.serving.chunked import chunked_prefill, default_prefill_chunk
+from repro.serving.chunked import DEFAULT_PREFILL_CHUNK, chunked_prefill
 from repro.serving.engine import Completion, Request
 
 
@@ -183,27 +183,16 @@ class ContinuousBatchingEngine:
 
     def __init__(self, model: ReferenceTransformer, max_slots: int,
                  max_len: int, sampler=None, seed: int = 0,
-                 step_hook=None,
-                 prefill_chunk: int | None | str = "auto",
-                 kvstore=None):
+                 step_hook=None, kvstore=None):
         if max_slots < 1:
             raise ValueError("max_slots must be >= 1")
         self.model = model
         self.max_slots = max_slots
         self.max_len = max_len
-        # Admission prefills run chunked by default (bit-identical to
-        # whole-prompt; bounded activation memory).  "auto" resolves the
-        # REPRO_PREFILL_MODE / REPRO_PREFILL_CHUNK escape hatches; pass
-        # an int or None to pin the behavior explicitly.
-        self.prefill_chunk = (default_prefill_chunk()
-                              if prefill_chunk == "auto"
-                              else prefill_chunk)
         # Optional prefix cache (repro.kvstore.KVStore): admission
         # prefills reuse cached prompt prefixes.  The slot copies the
         # installed prefix into its own buffers, so leases are released
         # as soon as the slot is loaded.
-        if kvstore is not None and not self.prefill_chunk:
-            raise ValueError("kvstore reuse requires chunked prefill")
         self.kvstore = kvstore
         self.sampler = sampler or (lambda logits, rng: greedy(logits))
         self.rng = np.random.default_rng(seed)
@@ -225,14 +214,12 @@ class ContinuousBatchingEngine:
                 if slots[slot_idx] is not None or not queue:
                     continue
                 request = queue.popleft()
-                if self.prefill_chunk:
-                    logits, caches = chunked_prefill(
-                        self.model, request.prompt[None, :],
-                        self.prefill_chunk, self.max_len,
-                        kvstore=self.kvstore)
-                else:
-                    logits, caches = self.model.prefill(
-                        request.prompt[None, :], self.max_len)
+                # Admission prefills run chunked (bit-identical to a
+                # whole-prompt prefill, bounded activation memory).
+                logits, caches = chunked_prefill(
+                    self.model, request.prompt[None, :],
+                    DEFAULT_PREFILL_CHUNK, self.max_len,
+                    kvstore=self.kvstore)
                 state.load_prefill(slot_idx, caches)
                 if self.kvstore is not None:
                     reuse = self.kvstore.take_last_reuse()

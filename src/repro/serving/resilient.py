@@ -1,16 +1,18 @@
 """Resilient request lifecycle: detect -> replan -> retry -> shed.
 
 The two-phase recipe in :mod:`repro.serving.sharded` assumes the mesh
-stays healthy for the whole run.  This module wraps it (and the
-continuous-batching engine) with the failure handling a production
-deployment needs:
+stays healthy for the whole run.  This module adds the failure handling
+a production deployment needs, as a lifecycle policy over one
+:class:`~repro.cluster.replica.Replica` (the cluster's replica runtime,
+which owns the deployment and runs each request group) and around the
+continuous-batching engine:
 
 * **Detection** — the collectives raise typed
   :class:`~repro.mesh.faults.MeshFault` errors instead of returning
   garbage; under SPMD the first collective after a chip dies surfaces it.
-* **Replanning** — on a :class:`~repro.mesh.faults.ChipFailure` the server
-  rebuilds its prefill/decode models on the largest healthy sub-slice via
-  :func:`~repro.partitioning.degraded.replan_after_failure`.  Stragglers
+* **Replanning** — on a :class:`~repro.mesh.faults.ChipFailure` the
+  replica rebuilds its prefill/decode models on the largest healthy
+  sub-slice (:meth:`~repro.cluster.replica.Replica.replan_around`).  Stragglers
   are detected by deadline projection and evicted the same way, with live
   KV caches migrated to the new mesh where the old mesh's data is still
   readable.
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -51,25 +53,19 @@ from repro.events import (
     REQUEST_SHED,
     EventLog,
 )
-from repro.hardware.topology import Torus3D
 from repro.mesh import VirtualMesh
-from repro.mesh.capture import StepCompiler
 from repro.mesh.faults import ChipFailure, FaultPlan, MeshFault
-from repro.model.sampling import greedy
 from repro.partitioning.degraded import (
     largest_healthy_subslice,
     migrate_caches,
-    plan_batch_group,
-    replan_after_failure,
-    select_degraded_plan,
 )
-from repro.partitioning.selector import Phase
 from repro.serving.backoff import exponential_backoff_s
-from repro.serving.chunked import default_prefill_chunk
 from repro.serving.continuous import ContinuousBatchingEngine
 from repro.serving.engine import Completion, Request
 from repro.serving.scheduler import group_requests
-from repro.serving.sharded import merge_sharded_caches
+
+if TYPE_CHECKING:  # cluster.replica imports this module
+    from repro.cluster.replica import GroupRun
 
 
 class RequestStatus(str, Enum):
@@ -157,15 +153,75 @@ class CacheMigrationFailed(MeshFault):
     """Straggler eviction could not migrate live caches; re-prefill."""
 
 
+def _split_failed(live: Sequence[ResilientRequest], retries: dict,
+                  outcomes: dict, events: EventLog, now_s: float,
+                  exc: MeshFault) -> list[ResilientRequest]:
+    """Count one more retry per live request; returns the survivors.
+
+    Requests past their retry budget end ``FAILED`` (with a
+    ``REQUEST_FAILED`` event) instead.
+    """
+    survivors = []
+    for wreq in live:
+        rid = wreq.request.request_id
+        retries[rid] += 1
+        if retries[rid] > wreq.max_retries:
+            outcomes[rid] = RequestOutcome(
+                rid, RequestStatus.FAILED, retries=retries[rid] - 1,
+                finish_s=now_s)
+            events.record(REQUEST_FAILED, request_id=rid,
+                          retries=retries[rid] - 1,
+                          error=type(exc).__name__)
+        else:
+            survivors.append(wreq)
+    return survivors
+
+
+def _backoff(survivors: Sequence[ResilientRequest], retries: dict,
+             costs: CostModel, events: EventLog, now_s: float,
+             attempt: int) -> float:
+    """Charge retry ``attempt``'s backoff and record one re-prefill
+    ``REQUEST_RETRIED`` per survivor; returns the new clock."""
+    backoff = costs.backoff_s(attempt)
+    now_s += backoff
+    for wreq in survivors:
+        rid = wreq.request.request_id
+        events.record(REQUEST_RETRIED, request_id=rid,
+                      attempt=retries[rid], backoff_s=backoff,
+                      mode="re-prefill", t_s=now_s)
+    return now_s
+
+
+def _complete(live: Sequence[ResilientRequest],
+              completions: Sequence[Completion], retries: dict,
+              outcomes: dict, events: EventLog, now_s: float) -> None:
+    """Record each finished request as ``COMPLETED`` or, past its
+    deadline, ``DEADLINE_MISSED``."""
+    for wreq, completion in zip(live, completions):
+        rid = wreq.request.request_id
+        met = wreq.deadline_s is None or now_s <= wreq.deadline_s
+        status = (RequestStatus.COMPLETED if met
+                  else RequestStatus.DEADLINE_MISSED)
+        outcomes[rid] = RequestOutcome(
+            rid, status, completion=completion, retries=retries[rid],
+            finish_s=now_s)
+        events.record(REQUEST_COMPLETED, request_id=rid, t_s=now_s,
+                      retries=retries[rid], met_deadline=met)
+
+
 class ResilientTwoPhaseServer:
     """Two-phase serving with detect -> replan -> retry -> shed.
 
-    Owns its deployment: builds shared-weight prefill/decode
-    ``ShardedTransformer`` models on ``mesh`` (plans chosen by the
-    degraded-mesh selector unless given), installs ``fault_plan`` on the
-    mesh, and drives the fault clock with one tick per model invocation
-    (phase ``"prefill"`` or ``"decode"``) so scheduled faults land at
-    reproducible points in the request lifecycle.
+    A lifecycle policy over one :class:`~repro.cluster.replica.Replica`
+    of ``mesh``'s shape and backend: the replica owns the deployment
+    (shared-weight prefill/decode models, plans chosen by the
+    degraded-mesh selector unless given), the fault state built from
+    ``fault_plan``, and the step compiler; each attempt at a request
+    group runs as a :class:`~repro.cluster.replica.GroupRun` (chunked
+    prefill, padded batch merge, one fault-clock tick per model
+    invocation).  This server adds shedding, bounded retry with
+    backoff, replanning around dead chips and straggler eviction on
+    the simulated clock :attr:`now_s`.
     """
 
     def __init__(self, weights, mesh: VirtualMesh, *,
@@ -175,68 +231,38 @@ class ResilientTwoPhaseServer:
                  costs: CostModel | None = None,
                  event_log: EventLog | None = None,
                  prompt_len_hint: int = 64):
-        from repro.layouts.model import ShardedTransformer
+        from repro.cluster.replica import Replica
 
         if decode_batch < 1:
             raise ValueError("decode_batch must be >= 1")
-        self.weights = weights
-        self.mesh = mesh
+        self.replica = Replica(
+            "server", weights, mesh.shape, backend=mesh.backend,
+            decode_batch=decode_batch, fault_plan=fault_plan, costs=costs,
+            event_log=event_log, prompt_len_hint=prompt_len_hint,
+            kvstore_pages=0)
+        if prefill_plan is not None or decode_plan is not None:
+            self.replica.deploy(decode_plan=decode_plan,
+                                prefill_plan=prefill_plan)
         self.decode_batch = decode_batch
-        self.costs = costs or CostModel()
-        self.events = event_log if event_log is not None else EventLog()
-        self.full_chips = mesh.num_chips
+        self.costs = self.replica.costs
+        self.events = self.replica.events
+        # Decode steps and prefill chunks run through the replica's
+        # capture-and-replay compiler; replanning invalidates it and the
+        # next healthy step re-captures on the new mesh.
+        self.step_compiler = self.replica.step_compiler
         self.now_s = 0.0
 
-        config = weights.config
-        torus = Torus3D(*mesh.shape)
-        if decode_plan is None:
-            decode_plan = select_degraded_plan(
-                config, torus, Phase.DECODE, batch=decode_batch,
-                tokens_per_seq=1)
-        if prefill_plan is None:
-            prefill_plan = select_degraded_plan(
-                config, torus, Phase.PREFILL, batch=1,
-                tokens_per_seq=prompt_len_hint)
-        self.decode_model = ShardedTransformer(weights, mesh, decode_plan)
-        try:
-            self.prefill_model = self.decode_model.with_plan(prefill_plan)
-        except ValueError:
-            self.prefill_model = ShardedTransformer(weights, mesh,
-                                                    prefill_plan)
-        self.fault_state = None
-        if fault_plan is not None:
-            self.fault_state = mesh.install_faults(fault_plan, self.events)
-        # Decode steps run through the capture-and-replay compiler: the
-        # first post-warmup quiescent step is traced once, later steps
-        # replay it bit-identically; replanning (below) invalidates the
-        # program and the next healthy step re-captures on the new mesh.
-        self.step_compiler = StepCompiler()
-
-    # -- simulated clock ---------------------------------------------------
-
     @property
-    def scale(self) -> float:
-        """Slowdown factor of the current (possibly degraded) mesh."""
-        return self.full_chips / self.mesh.num_chips
-
-    def _delay(self) -> float:
-        return self.fault_state.sim_delay_s if self.fault_state else 0.0
-
-    def _advance(self, phase: str) -> None:
-        if self.fault_state is not None:
-            self.fault_state.advance(phase)
-
-    def _charge(self, base_s: float, delay_before: float) -> float:
-        """Charge one model invocation; returns the straggler delay part."""
-        delay = self._delay() - delay_before
-        self.now_s += base_s * self.scale + delay
-        return delay
+    def mesh(self) -> VirtualMesh:
+        """The replica's current (possibly replanned) mesh."""
+        return self.replica.mesh
 
     def _estimate_s(self, wreq: ResilientRequest) -> float:
         """Service-time estimate for admission control, at current capacity."""
         c = self.costs
         return (c.prefill_s
-                + wreq.request.max_new_tokens * c.decode_step_s) * self.scale
+                + wreq.request.max_new_tokens * c.decode_step_s) \
+            * self.replica.scale
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -286,148 +312,42 @@ class ResilientTwoPhaseServer:
                                    error=type(exc).__name__,
                                    detail=str(exc), t_s=self.now_s)
                 attempt += 1
-                survivors = []
-                for wreq in live:
-                    rid = wreq.request.request_id
-                    retries[rid] += 1
-                    if retries[rid] > wreq.max_retries:
-                        outcomes[rid] = RequestOutcome(
-                            rid, RequestStatus.FAILED,
-                            retries=retries[rid] - 1, finish_s=self.now_s)
-                        self.events.record(
-                            REQUEST_FAILED, request_id=rid,
-                            retries=retries[rid] - 1,
-                            error=type(exc).__name__)
-                    else:
-                        survivors.append(wreq)
-                self._recover(exc)
-                backoff = self.costs.backoff_s(attempt)
-                self.now_s += backoff
-                for wreq in survivors:
-                    rid = wreq.request.request_id
-                    self.events.record(
-                        REQUEST_RETRIED, request_id=rid,
-                        attempt=retries[rid], backoff_s=backoff,
-                        mode="re-prefill", t_s=self.now_s)
-                live = survivors
+                live = _split_failed(live, retries, outcomes, self.events,
+                                     self.now_s, exc)
+                # A ChipFailure is permanent: replan onto the largest
+                # healthy sub-slice.  Timeouts and detected corruption
+                # are one-shot transients (and CacheMigrationFailed
+                # means we already replanned), so the deployment stays.
+                if isinstance(exc, ChipFailure):
+                    self.replica.replan_around([exc.chip])
+                    self.now_s += self.costs.replan_s
+                self.now_s = _backoff(live, retries, self.costs,
+                                      self.events, self.now_s, attempt)
                 continue
-            for wreq, completion in zip(live, completions):
-                rid = wreq.request.request_id
-                met = wreq.deadline_s is None or self.now_s <= wreq.deadline_s
-                status = (RequestStatus.COMPLETED if met
-                          else RequestStatus.DEADLINE_MISSED)
-                outcomes[rid] = RequestOutcome(
-                    rid, status, completion=completion,
-                    retries=retries[rid], finish_s=self.now_s)
-                self.events.record(
-                    REQUEST_COMPLETED, request_id=rid, t_s=self.now_s,
-                    retries=retries[rid], met_deadline=met)
+            _complete(live, completions, retries, outcomes, self.events,
+                      self.now_s)
             return
 
     def _run_group(self, live: list[ResilientRequest]) -> list[Completion]:
-        group = [w.request for w in live]
-        n_steps = max(r.max_new_tokens for r in group)
-        max_len = len(group[0].prompt) + n_steps
+        from repro.cluster.replica import GroupRun
+
+        run = GroupRun(self.replica, live)
+        try:
+            run.run_prefill()
+        finally:
+            # A fault mid-prefill still pays for the prompts it finished.
+            self.now_s += run.prefill_s
         deadlines = [w.deadline_s for w in live if w.deadline_s is not None]
         min_deadline = min(deadlines) if deadlines else None
+        while not run.done:
+            before = self.replica.delay_s()
+            self.now_s += run.decode_step()
+            self._maybe_evict_stragglers(
+                run, min_deadline, step_delay=self.replica.delay_s() - before)
+        return run.completions()
 
-        caches_per_request, first_logits = [], []
-        for request in group:
-            before = self._delay()
-            self._advance("prefill")
-            logits, caches = self.prefill_model.prefill(
-                request.prompt[None, :], max_len)
-            self._charge(self.costs.prefill_s, before)
-            caches_per_request.append(caches)
-            first_logits.append(logits)
-
-        # Pad the decode batch up to the plan's batch-sharding divisor by
-        # repeating the last request's caches.  The merge reads caches
-        # host-side, so reusing the objects costs nothing; the padded
-        # rows' tokens are simply dropped.
-        batch_group = plan_batch_group(self.decode_model.plan,
-                                       Torus3D(*self.mesh.shape))
-        pad = (-len(group)) % max(batch_group, 1)
-        for _ in range(pad):
-            caches_per_request.append(caches_per_request[-1])
-            first_logits.append(first_logits[-1])
-
-        caches = merge_sharded_caches(caches_per_request, self.decode_model)
-        current = greedy(np.concatenate(first_logits, axis=0))
-        generated = [current[:, None]]
-        # Decode through the compiler's fused window (1 unless
-        # REPRO_CAPTURE_FUSE or the compiler say otherwise — at window 1
-        # this is exactly the old single-step loop, same events, same
-        # charges).  ``advance`` keeps the fault clock ticking once per
-        # generated token either way; the fused path only engages when
-        # the fault state is quiescent for the whole window, so faults
-        # and stragglers always land on single-step machinery.
-        step = 0
-        while step < n_steps - 1:
-            before = self._delay()
-            sampled = self.step_compiler.decode_window(
-                self.decode_model, current, caches,
-                window=min(self.step_compiler.fuse_window,
-                           n_steps - 1 - step),
-                advance=lambda: self._advance("decode"))
-            w = sampled.shape[0]
-            step_delay = self._charge(self.costs.decode_step_s * w, before)
-            current = sampled[-1]
-            for row in sampled:
-                generated.append(row[:, None])
-            step += w
-            caches = self._maybe_evict_stragglers(
-                live, caches, min_deadline,
-                remaining_steps=n_steps - 1 - step, step_delay=step_delay)
-
-        all_generated = np.concatenate(generated, axis=1)
-        completions = []
-        for i, request in enumerate(group):
-            n = request.max_new_tokens
-            tokens = np.concatenate([request.prompt, all_generated[i, :n]])
-            completions.append(Completion(request.request_id, tokens, n))
-        return completions
-
-    # -- recovery ----------------------------------------------------------
-
-    def _recover(self, exc: MeshFault) -> None:
-        """Repair the deployment before a retry.
-
-        A :class:`ChipFailure` is permanent: replan onto the largest
-        healthy sub-slice.  Timeouts and detected corruption are one-shot
-        transients (and :class:`CacheMigrationFailed` means we already
-        replanned), so the current deployment is reused as-is.
-        """
-        if isinstance(exc, ChipFailure):
-            self._replan([exc.chip])
-
-    def _replan(self, dead_chips) -> None:
-        deploy = replan_after_failure(
-            self.weights, self.mesh, dead_chips,
-            decode_batch=self.decode_batch, event_log=self.events)
-        if self.fault_state is not None:
-            remaining = self.fault_state.remaining_plan(
-                deploy.subslice.origin, deploy.subslice.shape)
-            new_state = deploy.mesh.install_faults(remaining, self.events)
-            # Carry the clock and accumulated delay across the swap so
-            # later-scheduled faults still fire at their intended step.
-            new_state.step = self.fault_state.step
-            new_state.phase = self.fault_state.phase
-            new_state.phase_steps = dict(self.fault_state.phase_steps)
-            new_state.sim_delay_s = self.fault_state.sim_delay_s
-            self.fault_state = new_state
-        self.mesh = deploy.mesh
-        self.prefill_model = deploy.prefill_model
-        self.decode_model = deploy.decode_model
-        # The captured program closed over the old mesh and models;
-        # replay on the replanned deployment would be invalid (the
-        # signature check would also catch this — the explicit
-        # invalidation just makes re-capture immediate and counted).
-        self.step_compiler.invalidate()
-        self.now_s += self.costs.replan_s
-
-    def _maybe_evict_stragglers(self, live, caches, min_deadline,
-                                remaining_steps: int, step_delay: float):
+    def _maybe_evict_stragglers(self, run: GroupRun, min_deadline,
+                                step_delay: float) -> None:
         """Evict straggler chips when they put the group's deadline at risk.
 
         Stragglers never raise — they only show up as latency — so the
@@ -436,35 +356,38 @@ class ResilientTwoPhaseServer:
         live KV caches (the old mesh's data is intact, unlike a chip
         death, so no recompute is needed).
         """
-        if self.fault_state is None or min_deadline is None \
+        replica = self.replica
+        remaining_steps = run.remaining_steps
+        if replica.fault_state is None or min_deadline is None \
                 or remaining_steps <= 0 or step_delay <= 0.0:
-            return caches
-        stragglers = sorted(self.fault_state.straggler_chips())
+            return
+        stragglers = sorted(replica.fault_state.straggler_chips())
         if not stragglers:
-            return caches
+            return
         projected = self.now_s + remaining_steps * (
-            self.costs.decode_step_s * self.scale + step_delay)
+            self.costs.decode_step_s * replica.scale + step_delay)
         if projected <= min_deadline:
-            return caches
+            return
         self.events.record(
             FAULT_DETECTED, error="StragglerFault",
             detail=f"straggler chips {stragglers} project finish "
                    f"{projected:.4f}s past deadline {min_deadline:.4f}s",
             t_s=self.now_s)
-        old_decode = self.decode_model
-        self._replan(stragglers)
+        old_decode = replica.decode_model
+        replica.replan_around(stragglers)
+        self.now_s += self.costs.replan_s
         try:
-            migrated = migrate_caches(caches, old_decode, self.decode_model)
+            run.caches = migrate_caches(run.caches, old_decode,
+                                        replica.decode_model)
         except ValueError as exc:
             raise CacheMigrationFailed(
                 f"could not migrate caches to mesh {self.mesh.shape}: "
                 f"{exc}") from exc
-        for wreq in live:
+        for wreq in run.wrapped:
             self.events.record(
                 REQUEST_RETRIED, request_id=wreq.request.request_id,
                 attempt=0, backoff_s=0.0, mode="cache-migration",
                 t_s=self.now_s)
-        return migrated
 
 
 class ResilientContinuousServer:
@@ -494,19 +417,12 @@ class ResilientContinuousServer:
                  mesh: VirtualMesh | None = None,
                  fault_plan: FaultPlan | None = None,
                  costs: CostModel | None = None,
-                 event_log: EventLog | None = None, seed: int = 0,
-                 prefill_chunk: int | None | str = "auto"):
+                 event_log: EventLog | None = None, seed: int = 0):
         if fault_plan is not None and mesh is None:
             raise ValueError("fault_plan requires a mesh to install it on")
         self.model = model
         self.max_slots = max_slots
         self.max_len = max_len
-        # Chunked prefill is the default admission path ("auto" reads
-        # the REPRO_PREFILL_MODE / REPRO_PREFILL_CHUNK escape hatches);
-        # resolved once here so every retry engine behaves identically.
-        self.prefill_chunk = (default_prefill_chunk()
-                              if prefill_chunk == "auto"
-                              else prefill_chunk)
         self.costs = costs or CostModel()
         self.events = event_log if event_log is not None else EventLog()
         self.seed = seed
@@ -570,16 +486,8 @@ class ResilientContinuousServer:
         model needs no resharding — only capacity and delay change)."""
         old_shape = self.mesh.shape
         sub = largest_healthy_subslice(old_shape, bad_chips)
-        new_mesh = VirtualMesh(sub.shape, backend=self.mesh.backend)
-        remaining_plan = self.fault_state.remaining_plan(sub.origin,
-                                                         sub.shape)
-        new_state = new_mesh.install_faults(remaining_plan, self.events)
-        new_state.step = self.fault_state.step
-        new_state.phase = self.fault_state.phase
-        new_state.phase_steps = dict(self.fault_state.phase_steps)
-        new_state.sim_delay_s = self.fault_state.sim_delay_s
-        self.mesh = new_mesh
-        self.fault_state = new_state
+        self.mesh = VirtualMesh(sub.shape, backend=self.mesh.backend)
+        self.fault_state = self.fault_state.carry_to(self.mesh, sub.origin)
         self._extra_s += self.costs.replan_s
         self.events.record(REPLANNED, dead_chips=[tuple(c) for c
                                                   in bad_chips],
@@ -641,8 +549,7 @@ class ResilientContinuousServer:
             self._extra_s = 0.0
             engine = ContinuousBatchingEngine(
                 self.model, self.max_slots, self.max_len, seed=self.seed,
-                step_hook=self._step_hook,
-                prefill_chunk=self.prefill_chunk)
+                step_hook=self._step_hook)
             try:
                 completions = engine.serve([w.request for w in pending])
             except MeshFault as exc:
@@ -662,43 +569,15 @@ class ResilientContinuousServer:
                         self.now_s += self._extra_s
                         self._extra_s = 0.0
                 attempt += 1
-                survivors = []
-                for wreq in pending:
-                    rid = wreq.request.request_id
-                    retries[rid] += 1
-                    if retries[rid] > wreq.max_retries:
-                        outcomes[rid] = RequestOutcome(
-                            rid, RequestStatus.FAILED,
-                            retries=retries[rid] - 1, finish_s=self.now_s)
-                        self.events.record(
-                            REQUEST_FAILED, request_id=rid,
-                            retries=retries[rid] - 1,
-                            error=type(exc).__name__)
-                    else:
-                        survivors.append(wreq)
-                backoff = self.costs.backoff_s(attempt)
-                self.now_s += backoff
-                for wreq in survivors:
-                    rid = wreq.request.request_id
-                    self.events.record(
-                        REQUEST_RETRIED, request_id=rid,
-                        attempt=retries[rid], backoff_s=backoff,
-                        mode="re-prefill", t_s=self.now_s)
-                pending = survivors
+                pending = _split_failed(pending, retries, outcomes,
+                                        self.events, self.now_s, exc)
+                self.now_s = _backoff(pending, retries, self.costs,
+                                      self.events, self.now_s, attempt)
                 continue
             self._steps_done += engine.steps
             self.now_s += engine.admissions * self.costs.prefill_s + \
                 engine.steps * self.costs.decode_step_s + self._extra_s
-            for wreq, completion in zip(pending, completions):
-                rid = wreq.request.request_id
-                met = wreq.deadline_s is None or self.now_s <= wreq.deadline_s
-                status = (RequestStatus.COMPLETED if met
-                          else RequestStatus.DEADLINE_MISSED)
-                outcomes[rid] = RequestOutcome(
-                    rid, status, completion=completion,
-                    retries=retries[rid], finish_s=self.now_s)
-                self.events.record(
-                    REQUEST_COMPLETED, request_id=rid, t_s=self.now_s,
-                    retries=retries[rid], met_deadline=met)
+            _complete(pending, completions, retries, outcomes, self.events,
+                      self.now_s)
             pending = []
         return [outcomes[w.request.request_id] for w in wrapped]

@@ -11,7 +11,7 @@ The v2 contract on top of ``test_step_capture.py``'s single-step replay:
 * :meth:`StepCompiler.decode_window` fuses a window of greedy decode
   steps, matches the eager loop token-for-token, clamps at the cache
   boundary, and falls back to single-step whenever a scheduled fault
-  could fire inside the window (``REPRO_CAPTURE_FUSE`` sizes it);
+  could fire inside the window;
 * parallel replica stepping (``step_threads >= 1``) is an execution
   detail: a seeded chaos run produces the same report, event log and
   span stream as the serial path.
@@ -28,12 +28,10 @@ from repro.layouts import ShardedTransformer
 from repro.mesh import BACKENDS, ShardedTensor, VirtualMesh
 from repro.layouts.kv_cache import layout_signature
 from repro.mesh.capture import (
-    FUSE_ENV,
     StepCompiler,
     capture_decode_step,
     capture_prefill_chunk,
     capturing,
-    fuse_window_from_env,
 )
 from repro.mesh.faults import CollectiveFault, CollectiveTimeout, FaultPlan
 from repro.model import init_weights, tiny_test_config
@@ -504,25 +502,25 @@ class TestReplicaDedup:
 
 
 class TestFusedWindow:
-    """Fused multi-step decode: boundary, fault gate, env knob."""
+    """Fused multi-step decode: boundary, fault gate."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_window_matches_eager_greedy_loop(self, backend):
         eager_model, eager_caches, tok = build(backend, steps=6)
         model, caches, tok2 = build(backend, steps=6)
         assert np.array_equal(tok, tok2)
-        compiler = StepCompiler(warmup_steps=0, fuse_window=4)
+        compiler = StepCompiler(warmup_steps=0)
 
         expect, cur = [], tok
         for _ in range(6):
             cur = greedy(eager_model.decode_step(cur, eager_caches))
             expect.append(cur)
 
-        first = compiler.decode_window(model, tok, caches)
+        first = compiler.decode_window(model, tok, caches, window=4)
         assert first.shape == (4, tok.shape[0])
         # Window boundary: only 2 positions of room remain, so the
         # window clamps rather than overflowing the cache.
-        second = compiler.decode_window(model, first[-1], caches)
+        second = compiler.decode_window(model, first[-1], caches, window=4)
         assert second.shape == (2, tok.shape[0])
         for got, want in zip(list(first) + list(second), expect):
             assert np.array_equal(got, want)
@@ -531,12 +529,12 @@ class TestFusedWindow:
 
     def test_window_replay_hits_after_fill_reset(self):
         model, caches, tok = build(steps=8)
-        compiler = StepCompiler(warmup_steps=0, fuse_window=4)
+        compiler = StepCompiler(warmup_steps=0)
         base = caches[0].length
-        first = compiler.decode_window(model, tok, caches)  # capture
+        first = compiler.decode_window(model, tok, caches, window=4)  # capture
         for cache in caches:
             cache.length = base
-        again = compiler.decode_window(model, tok, caches)  # replay
+        again = compiler.decode_window(model, tok, caches, window=4)  # replay
         assert compiler.hits == 1 and compiler.replays == 1
         assert np.array_equal(first, again)
 
@@ -544,33 +542,23 @@ class TestFusedWindow:
         model, caches, tok = build(steps=8)
         state = model.mesh.install_faults(FaultPlan((
             CollectiveFault(kind="timeout", at_step=2, phase="decode"),)))
-        compiler = StepCompiler(warmup_steps=0, fuse_window=4)
+        compiler = StepCompiler(warmup_steps=0)
 
         # The fault lands inside the first window: exactly one single
         # step runs (the caller loops), with the clock advanced once.
-        out = compiler.decode_window(model, tok, caches,
+        out = compiler.decode_window(model, tok, caches, window=4,
                                      advance=lambda: state.advance("decode"))
         assert out.shape[0] == 1
         # The next single step hits the scheduled clock: the timeout
         # fires on the eager path exactly as without the compiler.
         with pytest.raises(CollectiveTimeout):
-            compiler.decode_window(model, out[-1], caches,
+            compiler.decode_window(model, out[-1], caches, window=4,
                                    advance=lambda: state.advance("decode"))
         # The one-shot fault is spent; the fused path resumes whole.
-        fused = compiler.decode_window(model, out[-1], caches,
+        fused = compiler.decode_window(model, out[-1], caches, window=4,
                                        advance=lambda: state.advance("decode"))
         assert fused.shape[0] == 4
         assert state.quiescent()
-
-    def test_fuse_window_env_knob(self, monkeypatch):
-        monkeypatch.setenv(FUSE_ENV, "6")
-        assert fuse_window_from_env() == 6
-        assert StepCompiler().fuse_window == 6
-        monkeypatch.setenv(FUSE_ENV, "not-a-number")
-        assert fuse_window_from_env(default=3) == 3
-        monkeypatch.delenv(FUSE_ENV)
-        assert StepCompiler().fuse_window == 1  # default: no fusion
-        assert StepCompiler(fuse_window=0).fuse_window == 1  # clamped
 
 
 class TestParallelReplicaStepping:

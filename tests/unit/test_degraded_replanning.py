@@ -13,7 +13,11 @@ from repro.model import (
     tiny_test_config,
 )
 from repro.partitioning import (
+    AttentionLayoutKind,
+    FfnLayoutKind,
+    LayoutPlan,
     SubSlice,
+    build_deployment,
     healthy_subslices,
     largest_healthy_subslice,
     migrate_caches,
@@ -21,6 +25,7 @@ from repro.partitioning import (
     replan_after_failure,
     select_degraded_plan,
 )
+from repro.partitioning.degraded import share_weights
 from repro.partitioning.selector import Phase
 
 CFG = tiny_test_config(n_layers=2, d_model=16, d_ff=32, n_heads=8,
@@ -75,6 +80,42 @@ class TestDegradedPlanSelection:
                                     tokens_per_seq=1)
         # batch 4 on 8 chips cannot use the 8-way batch-sharded layout.
         assert plan_batch_group(plan, torus) <= 4
+
+
+class TestBuildDeployment:
+    def test_selects_plans_for_the_mesh(self):
+        mesh = VirtualMesh((2, 2, 2))
+        decode, prefill = build_deployment(WEIGHTS, mesh, decode_batch=4,
+                                           prompt_len=64)
+        torus = Torus3D(2, 2, 2)
+        assert decode.plan == select_degraded_plan(
+            CFG, torus, Phase.DECODE, batch=4, tokens_per_seq=1)
+        assert prefill.plan == select_degraded_plan(
+            CFG, torus, Phase.PREFILL, batch=1, tokens_per_seq=64)
+        assert decode.mesh is mesh and prefill.mesh is mesh
+
+    def test_explicit_plans_share_weight_storage(self):
+        decode_plan = LayoutPlan(FfnLayoutKind.WS_2D,
+                                 AttentionLayoutKind.HEAD)
+        prefill_plan = LayoutPlan(FfnLayoutKind.WG_X,
+                                  AttentionLayoutKind.BATCH)
+        decode, prefill = build_deployment(
+            WEIGHTS, VirtualMesh((2, 2, 2)), decode_batch=4, prompt_len=64,
+            decode_plan=decode_plan, prefill_plan=prefill_plan)
+        assert (decode.plan, prefill.plan) == (decode_plan, prefill_plan)
+        assert prefill.embedding is decode.embedding
+
+    def test_share_weights_reshards_incompatible_storage(self):
+        ws1d = LayoutPlan(FfnLayoutKind.WS_1D, AttentionLayoutKind.HEAD)
+        ws2d = LayoutPlan(FfnLayoutKind.WS_2D, AttentionLayoutKind.HEAD)
+        decode, _ = build_deployment(
+            WEIGHTS, VirtualMesh((2, 2, 2)), decode_batch=4, prompt_len=64,
+            decode_plan=ws1d)
+        with pytest.raises(ValueError, match="share weight storage"):
+            decode.with_plan(ws2d)
+        other = share_weights(decode, ws2d)
+        assert other.plan == ws2d and other.mesh is decode.mesh
+        assert other.embedding is not decode.embedding
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
