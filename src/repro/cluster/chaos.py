@@ -550,18 +550,13 @@ def _check(report: ChaosReport, scenario: ChaosScenario,
 def run_scenario(scenario: ChaosScenario | str, *, backend: str = "loop",
                  seed: int = 0, event_log: EventLog | None = None,
                  tracer: Tracer | None = None,
-                 weights_seed: int = 0,
-                 step_threads: int = 0) -> ChaosReport:
+                 weights_seed: int = 0) -> ChaosReport:
     """Execute one scenario deterministically and report what happened.
 
     Pass ``event_log`` / ``tracer`` to keep the run's timeline and spans
     for export (the ``repro-inference chaos`` CLI does, to feed the
     ``trace`` exporter); by default fresh ones are created and summarized
     into the report's ``n_events`` / ``n_spans`` counts.
-
-    ``step_threads >= 1`` turns on the control plane's parallel replica
-    stepping (hedged decodes race on a thread pool); the report is
-    identical either way — the chaos tests assert it.
     """
     if isinstance(scenario, str):
         try:
@@ -583,7 +578,7 @@ def run_scenario(scenario: ChaosScenario | str, *, backend: str = "loop",
         drains=dict(scenario.drains),
         costs=scenario.costs,
         policy=scenario.policy, event_log=events, tracer=tracer,
-        prompt_len_hint=PROMPT_LEN, step_threads=step_threads,
+        prompt_len_hint=PROMPT_LEN,
         autoscaler=autoscaler,
         restarts=dict(scenario.restarts),
         crash_at_s=scenario.crash_at_s)

@@ -490,9 +490,8 @@ class GroupRun:
         returned zero-argument callable does the actual compute — a pure
         program replay when a warm program is valid, otherwise the full
         eager/capture path — and touches only this replica's model and
-        caches, so thunks of *distinct* replicas may run concurrently
-        (the control plane's hedged race does).  Call
-        :meth:`finish_decode_step` with the thunk's logits to commit.
+        caches.  Call :meth:`finish_decode_step` with the thunk's logits
+        to commit.
         """
         replica = self.replica
         self._delay_before = replica.delay_s()

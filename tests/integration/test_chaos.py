@@ -13,6 +13,7 @@ test file serves both roles.  The acceptance bar mirrors ISSUE 4:
   ``(scenario, backend, seed)``.
 """
 
+import dataclasses
 import os
 
 import numpy as np
@@ -20,6 +21,7 @@ import pytest
 
 from repro.cluster import (
     SCENARIOS,
+    RestartSpec,
     build_workload,
     format_report,
     run_scenario,
@@ -105,6 +107,50 @@ class TestHedgedDecode:
         assert report.hedges >= 1
         assert report.bit_identical
         assert report.completed == report.admitted
+
+
+def _records(report, *kinds):
+    return [(r["t_s"], r["kind"], r["data"]) for r in report.journal_dump
+            if r["kind"] in kinds]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestHedgeUnderRestart:
+    """A restart that comes due mid-hedge fires on whichever replica it
+    names: the backup abandons the hedge, the primary fails over."""
+
+    def _run(self, replica, backend):
+        scenario = dataclasses.replace(
+            SCENARIOS["correlated-stragglers"],
+            restarts=((replica, RestartSpec(at_s=1.0)),))
+        return run(scenario, backend, seed=0)
+
+    def test_restart_due_on_backup_abandons_hedge(self, backend):
+        report = self._run("r1", backend)
+        (hedge_t, _, hedge), = _records(report, "hedge")
+        assert (hedge["group"], hedge["target"]) == (0, "r1")
+        assert hedge_t == pytest.approx(0.98)
+        # The crash fires inside the hedge, charged to its group, not
+        # later as an idle bounce of a replica that finished the hedge.
+        (crash_t, _, crash), = _records(report, "replica_crash")
+        assert (crash["replica"], crash["group"]) == ("r1", 0)
+        assert hedge_t < crash_t < 1.1
+        complete = {d["group"]: (t, d) for t, _, d
+                    in _records(report, "group_complete")}
+        assert complete[0][1]["replica"] == "r0"
+        assert complete[0][0] > crash_t
+        assert not report.failovers
+
+    def test_restart_due_on_primary_fails_over(self, backend):
+        report = self._run("r0", backend)
+        (crash_t, _, crash), = _records(report, "replica_crash")
+        assert (crash["replica"], crash["group"]) == ("r0", 0)
+        assert crash_t == pytest.approx(1.03)
+        (failover_t, _, failover), = _records(report, "failover")
+        assert failover_t == crash_t
+        assert (failover["group"], failover["source"], failover["error"]) \
+            == (0, "r0", "ReplicaCrashed")
+        assert report.failovers == 1 and report.hedges == 1
 
 
 class TestDeterminism:

@@ -1,4 +1,4 @@
-"""Capture v2: prefill programs, bucketed replay, fused windows, threads.
+"""Capture v2: prefill programs, bucketed replay, fused windows.
 
 The v2 contract on top of ``test_step_capture.py``'s single-step replay:
 
@@ -12,18 +12,15 @@ The v2 contract on top of ``test_step_capture.py``'s single-step replay:
   steps, matches the eager loop token-for-token, clamps at the cache
   boundary, and falls back to single-step whenever a scheduled fault
   could fire inside the window;
-* parallel replica stepping (``step_threads >= 1``) is an execution
-  detail: a seeded chaos run produces the same report, event log and
-  span stream as the serial path.
+* threaded replica stepping is gone: the control plane rejects any
+  non-zero ``step_threads``.
 """
 
-import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterControlPlane, run_scenario
-from repro.events import EventLog
+from repro.cluster import ClusterControlPlane
 from repro.layouts import ShardedTransformer
 from repro.mesh import BACKENDS, ShardedTensor, VirtualMesh
 from repro.layouts.kv_cache import layout_signature
@@ -562,24 +559,10 @@ class TestFusedWindow:
 
 
 class TestParallelReplicaStepping:
-    """Threaded stepping is an execution detail, not a behavior."""
-
-    @pytest.mark.parametrize("scenario",
-                             ["rolling-kill", "correlated-stragglers"])
-    def test_threaded_run_identical_to_serial(self, scenario):
-        logs, spans, reports = {}, {}, {}
-        for threads in (0, 2):
-            log = EventLog()
-            report = run_scenario(scenario, backend="loop", seed=0,
-                                  event_log=log, step_threads=threads)
-            logs[threads] = [(e.kind, dict(e.data)) for e in log]
-            spans[threads] = [(s.name, s.kind, s.start_s, s.end_s)
-                              for s in report.spans]
-            reports[threads] = dataclasses.replace(report, spans=[])
-        assert logs[0] == logs[2]
-        assert spans[0] == spans[2]
-        assert reports[0] == reports[2]
+    """Hedges run serially; the threaded path was removed."""
 
     def test_negative_step_threads_rejected(self):
-        with pytest.raises(ValueError, match="step_threads"):
-            ClusterControlPlane(WEIGHTS, [(1, 1, 1)], step_threads=-1)
+        for threads in (-1, 1, 2):
+            with pytest.raises(ValueError, match="step_threads"):
+                ClusterControlPlane(WEIGHTS, [(1, 1, 1)],
+                                    step_threads=threads)

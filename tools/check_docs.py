@@ -85,7 +85,6 @@ REQUIRED_HEADINGS: dict[str, tuple[str, ...]] = {
         "## Capture v2: the program cache",
         "### Prefill programs",
         "### Fused decode windows",
-        "### Parallel replica stepping",
     ),
     "docs/autoscaling.md": (
         "## The trace generator: load as pure data",
