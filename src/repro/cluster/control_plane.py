@@ -844,7 +844,12 @@ class ClusterControlPlane:
                     try:
                         self._maybe_crash_running(run, t, gid)
                         if run.caches is None:
-                            t += run.run_prefill()
+                            try:
+                                run.run_prefill()
+                            finally:
+                                # A fault mid-prefill still pays for the
+                                # prompts it finished.
+                                t += run.prefill_s
                             self._set_now(t)
                             self._note_leases(run, t, gid)
                             self.prefill_tokens += sum(
@@ -1109,7 +1114,10 @@ class ClusterControlPlane:
             # The backup is mid-group too: a restart that comes due on it
             # abandons the hedge like any other backup fault.
             self._maybe_crash_running(hedge_run, bt, gid)
-            bt += hedge_run.run_prefill()
+            try:
+                hedge_run.run_prefill()
+            finally:
+                bt += hedge_run.prefill_s
             self._note_leases(hedge_run, bt, gid)
             while not hedge_run.done:
                 self._maybe_crash_running(hedge_run, bt, gid)

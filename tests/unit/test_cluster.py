@@ -294,3 +294,19 @@ class TestControlPlaneBasics:
                 reference[outcome.request_id].tokens)
         # Both replicas served work (least-busy dispatch spreads load).
         assert len({o.replica for o in outcomes}) == 2
+
+    def test_prefill_fault_charges_finished_prompts(self):
+        # The kill fires on the second prompt's prefill: the first
+        # prompt's 0.02 s of prefill already ran and stays on the clock.
+        plan = FaultPlan(faults=(
+            ChipKill(chip=(0, 1, 0), at_step=2, phase="prefill"),))
+        plane = ClusterControlPlane(WEIGHTS, [(2, 2, 2), (2, 2, 2)],
+                                    fault_plans={0: plan},
+                                    prompt_len_hint=6)
+        outcomes = plane.serve([ClusterSubmission(r)
+                                for r in make_requests(3)])
+        assert all(o.ok for o in outcomes)
+        failovers = [r for r in plane.journal.records
+                     if r.kind == "failover"]
+        assert [r.data["source"] for r in failovers] == ["r0"]
+        assert failovers[0].t_s == pytest.approx(0.02)
