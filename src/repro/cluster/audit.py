@@ -9,10 +9,12 @@ invariants the control plane promises:
   request completes twice (checked against the raw ``group_complete``
   records, not just the folded set), and no rejected request was also
   admitted.
-* **Exactly-once KV handoff** — per dispatch group, at most one
-  ``handoff_commit``; every commit is preceded by a
-  ``handoff_prepare``; an ``handoff_abort`` is only legal after the
-  retry budget (``handoff_retry`` records) was spent.
+* **Exactly-once KV handoff** — per handoff transaction (a
+  ``handoff_prepare`` and the group's records up to its next prepare),
+  at most one ``handoff_commit`` and never a commit and an abort; every
+  commit is preceded by a prepare; an ``handoff_abort`` is only legal
+  after the transaction's retry budget (``handoff_retry`` records) was
+  spent.
 * **Exactly-once page leases** — every journaled cached-prefix pin
   (``page_lease``, one per replica/lease id) has exactly one matching
   ``page_release`` with the same page count: no lease leaked by a
@@ -113,32 +115,45 @@ def audit_run(journal: Journal, *,
             violations.append(f"request {rid} completed {count} times")
 
     # --- exactly-once KV handoff ------------------------------------------
-    prepared = {r["group"] for r in journal.of_kind("handoff_prepare")}
-    commits: dict[int, int] = {}
-    for record in journal.of_kind("handoff_commit"):
-        gid = record["group"]
-        commits[gid] = commits.get(gid, 0) + 1
-        if gid not in prepared:
-            violations.append(f"group {gid} committed a KV handoff "
-                              f"without a prepare record")
-    for gid, count in sorted(commits.items()):
-        if count > 1:
-            violations.append(f"group {gid} committed a KV handoff "
-                              f"{count} times (pages delivered twice)")
-    retries: dict[int, int] = {}
-    for record in journal.of_kind("handoff_retry"):
-        gid = record["group"]
-        retries[gid] = retries.get(gid, 0) + 1
-    for record in journal.of_kind("handoff_abort"):
-        gid = record["group"]
-        budget = record.get("budget")
-        if gid in commits:
-            violations.append(f"group {gid} both committed and aborted "
-                              f"its KV handoff")
-        if budget is not None and retries.get(gid, 0) < budget:
-            violations.append(
-                f"group {gid} aborted its KV handoff after only "
-                f"{retries.get(gid, 0)} of {budget} budgeted retries")
+    # Each handoff_prepare opens a transaction for its group; a group
+    # whose decode target fails after the commit re-prefills and opens
+    # a new one.  Within a transaction: one commit or one abort, never
+    # both, and an abort only after the whole retry budget.
+    txns: dict[int, dict] = {}
+    committed: set[int] = set()
+    for record in journal.records:
+        if not record.kind.startswith("handoff_"):
+            continue
+        gid = record.data["group"]
+        txn = txns.get(gid)
+        if record.kind == "handoff_prepare":
+            txns[gid] = {"retries": 0, "commits": 0, "aborted": False}
+        elif record.kind == "handoff_retry" and txn is not None:
+            txn["retries"] += 1
+        elif record.kind == "handoff_commit":
+            committed.add(gid)
+            if txn is None:
+                violations.append(f"group {gid} committed a KV handoff "
+                                  f"without a prepare record")
+                continue
+            txn["commits"] += 1
+            if txn["commits"] == 2:
+                violations.append(
+                    f"group {gid} committed one KV handoff more than "
+                    f"once (pages delivered twice)")
+            if txn["aborted"]:
+                violations.append(f"group {gid} both committed and "
+                                  f"aborted its KV handoff")
+        elif record.kind == "handoff_abort" and txn is not None:
+            txn["aborted"] = True
+            if txn["commits"]:
+                violations.append(f"group {gid} both committed and "
+                                  f"aborted its KV handoff")
+            budget = record.data.get("budget")
+            if budget is not None and txn["retries"] < budget:
+                violations.append(
+                    f"group {gid} aborted its KV handoff after only "
+                    f"{txn['retries']} of {budget} budgeted retries")
 
     # --- exactly-once page leases ------------------------------------------
     leased: dict[tuple[str, int], int] = {}
@@ -192,7 +207,7 @@ def audit_run(journal: Journal, *,
         "completed": len(completed),
         "failed": len(failed),
         "rejected": len(rejected),
-        "handoff_commits": len(commits),
+        "handoff_commits": len(committed),
         "handoff_retries": state.handoff_retries,
         "handoff_aborts": state.handoff_aborts,
         "handoff_dup_drops": state.handoff_dup_drops,

@@ -488,6 +488,9 @@ class DisaggControlPlane(ClusterControlPlane):
         n_bytes = run.kv_cache_bytes()
         self._journal("handoff_prepare", t_s=t, group=gid,
                       source=source.name, bytes=n_bytes)
+        # A new transaction: pages an earlier one of this group (since
+        # failed over) delivered are not this one's duplicates.
+        self._handoff_delivered.discard(gid)
         budget = max(getattr(policy, "handoff_retries", 0), 0)
         attempts = budget + 1
         target: Replica | None = None

@@ -287,6 +287,18 @@ class TestAuditUnit:
         report = audit_run(j)
         assert any("delivered twice" in v for v in report.violations)
 
+    def test_new_transaction_after_failover_may_commit(self):
+        # The decode target died after the commit: the group re-prefills
+        # and hands off again in a transaction of its own.
+        j = Journal()
+        for t in (0.0, 0.2):
+            j.append("handoff_prepare", t, group=0, source="r0", bytes=64)
+            j.append("handoff_commit", t, group=0, source="r0",
+                     target="r1", attempt=1)
+        report = audit_run(j)
+        assert not any("handoff" in v for v in report.violations)
+        assert report.counters["handoff_commits"] == 1
+
     def test_abort_before_budget_exhausted(self):
         j = Journal()
         j.append("handoff_prepare", 0.0, group=0, source="r0", bytes=64)
