@@ -125,17 +125,18 @@ def audit_run(journal: Journal, *,
         if not record.kind.startswith("handoff_"):
             continue
         gid = record.data["group"]
-        txn = txns.get(gid)
+        fresh = {"retries": 0, "commits": 0, "aborted": False}
         if record.kind == "handoff_prepare":
-            txns[gid] = {"retries": 0, "commits": 0, "aborted": False}
-        elif record.kind == "handoff_retry" and txn is not None:
+            txns[gid] = fresh
+            continue
+        if gid not in txns and record.kind == "handoff_commit":
+            violations.append(f"group {gid} committed a KV handoff "
+                              f"without a prepare record")
+        txn = txns.setdefault(gid, fresh)
+        if record.kind == "handoff_retry":
             txn["retries"] += 1
         elif record.kind == "handoff_commit":
             committed.add(gid)
-            if txn is None:
-                violations.append(f"group {gid} committed a KV handoff "
-                                  f"without a prepare record")
-                continue
             txn["commits"] += 1
             if txn["commits"] == 2:
                 violations.append(
@@ -144,7 +145,7 @@ def audit_run(journal: Journal, *,
             if txn["aborted"]:
                 violations.append(f"group {gid} both committed and "
                                   f"aborted its KV handoff")
-        elif record.kind == "handoff_abort" and txn is not None:
+        elif record.kind == "handoff_abort":
             txn["aborted"] = True
             if txn["commits"]:
                 violations.append(f"group {gid} both committed and "
