@@ -16,7 +16,6 @@ The v2 contract on top of ``test_step_capture.py``'s single-step replay:
   non-zero ``step_threads``.
 """
 
-
 import numpy as np
 import pytest
 
